@@ -13,11 +13,17 @@ so the most significant samples are drawn last and end up on top.  The
 writer is plain deterministic text: fixed float formats, no timestamps, and
 a metadata block recording the tool version, generator id, seed, and draw
 parameters, so identical inputs give byte-identical documents.
+
+The sample elements are written in bulk, because a figure holds ~20 000 of
+them.  Each color map is one array kernel over the whole batch, and each
+distinct color is formatted to hex once.  Each figure builds one ``%``
+template for its element rows, with the fixed parts (for polylines, the x
+pixel of every site axis) formatted into it once, and fills it once per
+sample.  ``'%.2f' % y`` writes the same text as ``f"{y:.2f}"``.
 """
 
 from __future__ import annotations
 
-import colorsys
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -44,35 +50,63 @@ LABEL_COLOR = "#404040"
 # plot-area margins, pixels
 _LEFT, _RIGHT, _TOP, _BOTTOM = 58, 16, 34, 40
 
+_BACKGROUND = np.array(BACKGROUND_RGB, dtype=float)
+_BACKGROUND_HEX = "#%02x%02x%02x" % BACKGROUND_RGB
 
-def _hex(rgb) -> str:
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+# colorsys.hsv_to_rgb at full saturation and value: in hue sector i, (r, g, b)
+# pick from (1, 0, 1 - f, 1 - (1 - f)), f the position inside the sector.
+_HUE_SECTORS = np.array([[0, 3, 1], [2, 0, 1], [1, 0, 3], [1, 2, 0], [3, 1, 0], [0, 1, 2]])
 
 
-def _mix_with_background(rgb, strength: float):
-    """Linear blend from background white (strength 0) to rgb (strength 1)."""
-    return tuple(
-        int(round(b + strength * (c - b))) for b, c in zip(BACKGROUND_RGB, rgb)
-    )
+def _blend(target, strength):
+    """(M, 3) rounded blend from background white (strength 0) to target RGB (strength 1)."""
+    mixed = _BACKGROUND + strength[:, None] * (np.asarray(target, dtype=float) - _BACKGROUND)
+    return np.rint(mixed).astype(np.int64)
+
+
+def _checked_values(values, vmax: float, dtype):
+    """``values`` as an array of ``dtype``; a NaN value or vmax has no color."""
+    values = np.asarray(values, dtype=dtype)
+    if np.isnan(vmax) or np.isnan(values).any():
+        raise ValueError("cannot color a NaN value or vmax")
+    return values
+
+
+def _diverging_rgb(values, vmax: float):
+    """(M, 3) RGB of the diverging map for real values; white everywhere if vmax <= 0."""
+    values = _checked_values(values, vmax, float)
+    t = np.zeros_like(values) if vmax <= 0 else np.clip(values / vmax, -1.0, 1.0)
+    return _blend(np.where((t >= 0)[:, None], POSITIVE_RGB, NEGATIVE_RGB), np.abs(t))
+
+
+def _phase_rgb(values, vmax: float):
+    """(M, 3) RGB of the phase-hue map for complex values; white everywhere if vmax <= 0."""
+    values = _checked_values(values, vmax, complex)
+    strength = np.zeros(values.shape) if vmax <= 0 else np.minimum(1.0, np.abs(values) / vmax)
+    hue6 = np.remainder(np.angle(values) / (2.0 * np.pi), 1.0) * 6.0
+    sector = hue6.astype(np.int64)  # truncation, as colorsys does
+    f = hue6 - sector
+    channels = np.stack([np.ones_like(f), np.zeros_like(f), 1.0 - f, 1.0 - (1.0 - f)], axis=1)
+    full = np.take_along_axis(channels, _HUE_SECTORS[sector % 6], axis=1)
+    return _blend(np.rint(255.0 * full), strength)
+
+
+def _hex_colors(rgb) -> list[str]:
+    """'#rrggbb' per row of an (M, 3) RGB array, each distinct color formatted once."""
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    distinct, inverse = np.unique(packed, return_inverse=True)
+    names = np.array(["#%06x" % p for p in distinct.tolist()], dtype=object)
+    return names[inverse.reshape(-1)].tolist()
 
 
 def diverging_color(value: float, vmax: float) -> str:
     """Two-color diverging map: white at zero, red at +vmax, blue at -vmax."""
-    if vmax <= 0:
-        return _hex(BACKGROUND_RGB)
-    t = min(1.0, max(-1.0, value / vmax))
-    target = POSITIVE_RGB if t >= 0 else NEGATIVE_RGB
-    return _hex(_mix_with_background(target, abs(t)))
+    return _hex_colors(_diverging_rgb([value], vmax))[0]
 
 
 def phase_color(value: complex, vmax: float) -> str:
     """Complex map: hue encodes the argument, saturation the relative magnitude."""
-    if vmax <= 0:
-        return _hex(BACKGROUND_RGB)
-    strength = min(1.0, abs(value) / vmax)
-    hue = (np.angle(value) / (2.0 * np.pi)) % 1.0
-    full = tuple(int(round(255 * c)) for c in colorsys.hsv_to_rgb(hue, 1.0, 1.0))
-    return _hex(_mix_with_background(full, strength))
+    return _hex_colors(_phase_rgb([value], vmax))[0]
 
 
 def draw_order(values) -> np.ndarray:
@@ -80,37 +114,72 @@ def draw_order(values) -> np.ndarray:
     return np.argsort(np.abs(np.asarray(values)), kind="stable")
 
 
-def _colors(batch: SampleBatch):
-    values = batch.values
+def _colors(batch: SampleBatch, order) -> list[str]:
+    """Element colors of the batch's samples, listed in ``order``."""
+    values = batch.values[order]
     if batch.spec.color_mode == "phase_hue":
-        vmax = float(np.max(np.abs(values)))
-        return [phase_color(v, vmax) for v in values]
-    vmax = float(np.max(np.abs(values.real)))
-    return [diverging_color(float(v.real), vmax) for v in values.real]
+        rgb = _phase_rgb(values, float(np.max(np.abs(values))))
+    else:
+        rgb = _diverging_rgb(values.real, float(np.max(np.abs(values.real))))
+    return _hex_colors(rgb)
 
 
-def _document_start(batch: SampleBatch, state_label: str):
+def _text(x, y, body, size: int = 11, anchor: str = "", fill: str = LABEL_COLOR) -> str:
+    end = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}"{end}>{body}</text>'
+
+
+def _chart(batch: SampleBatch, label: str):
+    """Document head and plot geometry shared by both chart types; rejects a bad batch.
+
+    Returns the opening SVG lines, the plot-area width and height, and the maps
+    from a coordinate in [-window, window] to its x and y pixel.
+    """
+    if batch.points.shape[0] == 0:
+        raise ValueError("cannot render an empty batch")
+    if not np.all(np.isfinite(batch.points)) or not np.all(np.isfinite(batch.values)):
+        raise ValueError("batch contains non-finite coordinates or values")
     spec = batch.spec
     meta = (
         f"tool={TOOL_ID}; rng=numpy-PCG64; seed={spec.seed}; "
         f"samples={spec.sample_count}; window={spec.window:.17g}; "
         f"n_dims={batch.n_dims}; mode={spec.mode}; color_mode={spec.color_mode}; "
-        f"state={state_label}"
+        f"state={label}"
     )
-    return [
+    parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
         f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
         f"<metadata>{escape(meta)}</metadata>",
-        f'<rect width="{spec.width}" height="{spec.height}" fill="{_hex(BACKGROUND_RGB)}"/>',
+        f'<rect width="{spec.width}" height="{spec.height}" fill="{_BACKGROUND_HEX}"/>',
     ]
+    plot_w = spec.width - _LEFT - _RIGHT
+    plot_h = spec.height - _TOP - _BOTTOM
+    win = spec.window
+
+    def x_pix(q):
+        return _LEFT + (q + win) * plot_w / (2.0 * win)
+
+    def y_pix(q):
+        return _TOP + (win - q) * plot_h / (2.0 * win)
+
+    return parts, plot_w, plot_h, x_pix, y_pix
 
 
-def _check_batch(batch: SampleBatch):
-    if batch.points.shape[0] == 0:
-        raise ValueError("cannot render an empty batch")
-    if not np.all(np.isfinite(batch.points)) or not np.all(np.isfinite(batch.values)):
-        raise ValueError("batch contains non-finite coordinates or values")
+def _titles(plot_w: int, plot_h: int, x_name: str, y_name: str, label: str):
+    """Axis names and the state title, drawn above the chart furniture."""
+    parts = [_text(_LEFT + plot_w, _TOP + plot_h + 32, x_name, size=12, anchor="end"),
+             _text(_LEFT - 40, _TOP - 12, y_name, size=12)]
+    if label:
+        parts.append(_text(_LEFT, 20, escape(label), size=13, fill="#000000"))
+    return parts
+
+
+def _elements(template: str, batch: SampleBatch, coords) -> list[str]:
+    """One element per sample in draw order: ``template % (index, *coords[index], color)``."""
+    order = draw_order(batch.values)
+    rows = zip(order.tolist(), coords[order].tolist(), _colors(batch, order))
+    return [template % (idx, *row, color) for idx, row, color in rows]
 
 
 def render_parallel_axes(batch: SampleBatch, state_label: str = "") -> str:
@@ -119,23 +188,15 @@ def render_parallel_axes(batch: SampleBatch, state_label: str = "") -> str:
     The x axis is the site index 1..N, the y axis the coordinate value over
     [-window, window].  Returns the SVG document as a string.
     """
-    _check_batch(batch)
-    spec = batch.spec
     n = batch.n_dims
     label = state_label or batch.state_label
-
-    plot_w = spec.width - _LEFT - _RIGHT
-    plot_h = spec.height - _TOP - _BOTTOM
+    win = batch.spec.window
+    parts, plot_w, plot_h, _, y_pix = _chart(batch, label)
     if n > 1:
         xs = _LEFT + plot_w * np.arange(n) / (n - 1)
     else:
         xs = np.array([_LEFT + plot_w / 2.0])
-    win = spec.window
 
-    def y_pix(q):
-        return _TOP + (win - q) * plot_h / (2.0 * win)
-
-    parts = _document_start(batch, label)
     # axis furniture under the data
     zero_y = y_pix(0.0)
     parts.append(
@@ -150,91 +211,36 @@ def render_parallel_axes(batch: SampleBatch, state_label: str = "") -> str:
             f'stroke="{AXIS_COLOR}" stroke-width="1"/>'
         )
         if j % label_step == 0:
-            parts.append(
-                f'<text x="{x:.2f}" y="{_TOP + plot_h + 16}" font-size="11" '
-                f'fill="{LABEL_COLOR}" text-anchor="middle">{j + 1}</text>'
-            )
-    for q, anchor_y in ((win, _TOP + 4), (0.0, zero_y + 4), (-win, _TOP + plot_h + 4)):
-        parts.append(
-            f'<text x="{_LEFT - 8}" y="{anchor_y:.2f}" font-size="11" '
-            f'fill="{LABEL_COLOR}" text-anchor="end">{q:.3g}</text>'
-        )
-    parts.append(
-        f'<text x="{_LEFT + plot_w}" y="{_TOP + plot_h + 32}" font-size="12" '
-        f'fill="{LABEL_COLOR}" text-anchor="end">site n</text>'
-    )
-    parts.append(
-        f'<text x="{_LEFT - 40}" y="{_TOP - 12}" font-size="12" fill="{LABEL_COLOR}">q</text>'
-    )
-    if label:
-        parts.append(
-            f'<text x="{_LEFT}" y="20" font-size="13" fill="#000000">{escape(label)}</text>'
-        )
+            parts.append(_text(f"{x:.2f}", _TOP + plot_h + 16, j + 1, anchor="middle"))
+    for q, tick_y in ((win, _TOP), (0.0, zero_y), (-win, _TOP + plot_h)):
+        parts.append(_text(_LEFT - 8, f"{tick_y + 4:.2f}", f"{q:.3g}", anchor="end"))
+    parts += _titles(plot_w, plot_h, "site n", "q", label)
 
-    colors = _colors(batch)
-    ys = _TOP + (win - batch.points) * plot_h / (2.0 * win)  # (M, N) pixel rows
-    for idx in draw_order(batch.values):
-        row = ys[idx]
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, row))
-        parts.append(
-            f'<polyline id="s{idx}" points="{pts}" fill="none" '
-            f'stroke="{colors[idx]}" stroke-width="1"/>'
-        )
+    points = " ".join(f"{x:.2f},%.2f" for x in xs)
+    template = f'<polyline id="s%d" points="{points}" fill="none" stroke="%s" stroke-width="1"/>'
+    parts += _elements(template, batch, y_pix(batch.points))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def render_scatter2d(batch: SampleBatch) -> str:
     """Scatter chart of a two-dimensional batch: one dot per sample at (q1, q2)."""
-    _check_batch(batch)
     if batch.n_dims != 2:
         raise ValueError(f"scatter rendering requires 2 dimensions, got {batch.n_dims}")
-    spec = batch.spec
+    win = batch.spec.window
+    parts, plot_w, plot_h, x_pix, y_pix = _chart(batch, batch.state_label)
 
-    plot_w = spec.width - _LEFT - _RIGHT
-    plot_h = spec.height - _TOP - _BOTTOM
-    win = spec.window
-
-    def x_pix(q):
-        return _LEFT + (q + win) * plot_w / (2.0 * win)
-
-    def y_pix(q):
-        return _TOP + (win - q) * plot_h / (2.0 * win)
-
-    parts = _document_start(batch, batch.state_label)
     parts.append(
         f'<rect x="{_LEFT}" y="{_TOP}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="{AXIS_COLOR}" stroke-width="1"/>'
     )
     for q in (-win, 0.0, win):
-        parts.append(
-            f'<text x="{x_pix(q):.2f}" y="{_TOP + plot_h + 16}" font-size="11" '
-            f'fill="{LABEL_COLOR}" text-anchor="middle">{q:.3g}</text>'
-        )
-        parts.append(
-            f'<text x="{_LEFT - 8}" y="{y_pix(q) + 4:.2f}" font-size="11" '
-            f'fill="{LABEL_COLOR}" text-anchor="end">{q:.3g}</text>'
-        )
-    parts.append(
-        f'<text x="{_LEFT + plot_w}" y="{_TOP + plot_h + 32}" font-size="12" '
-        f'fill="{LABEL_COLOR}" text-anchor="end">q1</text>'
-    )
-    parts.append(
-        f'<text x="{_LEFT - 40}" y="{_TOP - 12}" font-size="12" fill="{LABEL_COLOR}">q2</text>'
-    )
-    if batch.state_label:
-        parts.append(
-            f'<text x="{_LEFT}" y="20" font-size="13" fill="#000000">'
-            f"{escape(batch.state_label)}</text>"
-        )
+        parts.append(_text(f"{x_pix(q):.2f}", _TOP + plot_h + 16, f"{q:.3g}", anchor="middle"))
+        parts.append(_text(_LEFT - 8, f"{y_pix(q) + 4:.2f}", f"{q:.3g}", anchor="end"))
+    parts += _titles(plot_w, plot_h, "q1", "q2", batch.state_label)
 
-    colors = _colors(batch)
-    px = _LEFT + (batch.points[:, 0] + win) * plot_w / (2.0 * win)
-    py = _TOP + (win - batch.points[:, 1]) * plot_h / (2.0 * win)
-    for idx in draw_order(batch.values):
-        parts.append(
-            f'<circle id="s{idx}" cx="{px[idx]:.2f}" cy="{py[idx]:.2f}" r="2" '
-            f'fill="{colors[idx]}"/>'
-        )
+    pixels = np.column_stack([x_pix(batch.points[:, 0]), y_pix(batch.points[:, 1])])
+    template = '<circle id="s%d" cx="%.2f" cy="%.2f" r="2" fill="%s"/>'
+    parts += _elements(template, batch, pixels)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

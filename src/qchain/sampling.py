@@ -33,7 +33,6 @@ RNG_ID = "numpy-PCG64"
 
 MODES = ("parallel_axes", "scatter2d")
 COLOR_MODES = ("diverging_real", "phase_hue")
-OUTPUT_FORMATS = ("vector_graphic", "sample_table")
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class RenderSpec:
     color_mode: str = "diverging_real"
     width: int = 900
     height: int = 560
-    output_format: str = "vector_graphic"
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -65,10 +63,6 @@ class RenderSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.color_mode not in COLOR_MODES:
             raise ValueError(f"color_mode must be one of {COLOR_MODES}, got {self.color_mode!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(
-                f"output_format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}"
-            )
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be positive pixel counts")
 

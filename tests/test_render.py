@@ -1,11 +1,18 @@
+import colorsys
+import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchain.chain import ChainParams, real_mode_basis
+from qchain.cli import main
 from qchain.fock import apply_create, vacuum
 from qchain.render import (
+    _colors,
     diverging_color,
     draw_order,
     phase_color,
@@ -158,3 +165,154 @@ def test_phase_mode_uses_complex_magnitude():
     seg = ph[ph.index('<polyline id="s0"'):]
     color = re.search(r'stroke="(#\w{6})"', seg[: seg.index("/>")]).group(1)
     assert color != "#ffffff"
+
+
+# SHA-256 of the SVGs written by the per-vertex, per-sample renderer that the
+# bulk renderer replaced; the bulk renderer must reproduce them byte for byte.
+GOLDEN_SVG_SHA256 = {
+    ("fig1", 0): "229193d2488f69d9cc4a257f0354fce56130ce58a135eaf6a34258e635879a56",
+    ("fig1", 42): "3b2fb875ca42664f42ee3eb1e778d6ece8a9c4fd05cd53ef1f1310deb7630516",
+    ("fig2", 0): "00281e238625470df83bd2af60f3ef8381657a056c830425e34afbff3a911435",
+    ("fig2", 42): "8284a3b333cb56c572f680f1b20766a1fb0594728f846817acba174603e466c3",
+    ("fig3", 0): "060507b5b8b14ecb0b0bdc7cc143bbd5f34a40c795f225f1307f80ae825492b8",
+    ("fig3", 42): "d963c7e65bfebcba15e0d19fa67709b86e78fb6b0f4d71a50d3b61e86a99108d",
+    ("fig4", 0): "807c76b68d5e9c2d3941d2fb4e723f69184bf2ed683d0c3eb2eda8a98084f284",
+    ("fig4", 42): "aab05261835e9717243848a3c728bbc695a1e29d15d55d4ae6ae02ff3c276cbb",
+    ("fig5", 0): "fbee42cc6289c40039b6d607976618d2ee746396e02b1f09664a21a37e7f1aec",
+    ("fig5", 42): "f2f8f36e4b64388139cec86b5f1f6f4b3336738cf6e8485c8dc3a634f377f1c1",
+    ("fig6", 0): "b9911eaaf0f60e2340d1761d92f95e26aae99a9c4262ff7eea335df81faea50f",
+    ("fig6", 42): "e13e024e37d3fb5b452cc641bed9c8025dc8384f9ca12ae27b9c6a299f50d6f8",
+    ("fig7", 0): "12253c91bac71ef085dbba62b5abb31121477b4a2e6dab4676b92a8b710005bb",
+    ("fig7", 42): "63995509d02c8cf061fd2d2672e66e55dcfa626a74824ef73730a77099054430",
+    ("fig8a", 0): "68450a648bfdb66f16e02389b9ed165d2fca1e57e6fb0d04b7869d4346247189",
+    ("fig8a", 42): "a4a20ca8130f27d41f1f6d40334a5f2e0a7f86d1b0b9b25ec7031fa26521b7f9",
+    ("fig8b", 0): "2247d6e8ee256386e551c91182ae41c1323f031948209402ac46792b8eae4571",
+    ("fig8b", 42): "fcaa5f6cceed416e179b18681e3f8f8469eb10b9c1d50d13223cd078e35002b7",
+    ("phase_hue", 0): "6eb9a5c8a23fdf30e9c1511b4aa6d89b57ac50ef2d13e62fe80426643bf36c7d",
+    ("phase_hue", 42): "776f91d9a9f4cb1641fa4e0ff12d0a2d115c4b1795f0c58eb9334aecd5edd6ed",
+}
+
+PHASE_HUE_ARGS = ["--n", "15", "--state", "(a[1] + i a[-1]) vac", "--color-mode", "phase_hue"]
+
+
+@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
+def test_figures_byte_identical_to_golden(figure, seed, tmp_path, capsys):
+    out = tmp_path / "figure.svg"
+    args = PHASE_HUE_ARGS if figure == "phase_hue" else [figure]
+    assert main(args + ["--seed", str(seed), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
+
+
+# Reference color maps: the scalar formulas the array kernels replaced.
+REF_POSITIVE, REF_NEGATIVE, REF_BACKGROUND = (178, 24, 43), (33, 102, 172), (255, 255, 255)
+
+
+def _ref_mix(rgb, strength):
+    return tuple(int(round(b + strength * (c - b))) for b, c in zip(REF_BACKGROUND, rgb))
+
+
+def _ref_hex(rgb):
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+def ref_diverging(value, vmax):
+    if vmax <= 0:
+        return _ref_hex(REF_BACKGROUND)
+    t = min(1.0, max(-1.0, value / vmax))
+    return _ref_hex(_ref_mix(REF_POSITIVE if t >= 0 else REF_NEGATIVE, abs(t)))
+
+
+def ref_phase(value, vmax):
+    if vmax <= 0:
+        return _ref_hex(REF_BACKGROUND)
+    strength = min(1.0, abs(value) / vmax)
+    hue = (np.angle(value) / (2.0 * np.pi)) % 1.0
+    full = tuple(int(round(255 * c)) for c in colorsys.hsv_to_rgb(hue, 1.0, 1.0))
+    return _ref_hex(_ref_mix(full, strength))
+
+
+def ref_batch_colors(values, color_mode):
+    values = np.asarray(values, dtype=complex)
+    if color_mode == "phase_hue":
+        vmax = float(np.max(np.abs(values)))
+        return [ref_phase(v, vmax) for v in values]
+    vmax = float(np.max(np.abs(values.real)))
+    return [ref_diverging(float(v), vmax) for v in values.real]
+
+
+def _batch_colors(values, color_mode):
+    batch = _make_batch(values, color_mode=color_mode)
+    return _colors(batch, np.arange(len(batch.values)))
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, **_FINITE), min_size=1, max_size=40))
+def test_diverging_kernel_matches_scalar_reference(values):
+    assert _batch_colors(values, "diverging_real") == ref_batch_colors(values, "diverging_real")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1e6, **_FINITE), min_size=1, max_size=40))
+def test_phase_kernel_matches_scalar_reference(values):
+    assert _batch_colors(values, "phase_hue") == ref_batch_colors(values, "phase_hue")
+
+
+# (value, vmax) pairs whose unrounded blend lands exactly on .5 in some channel
+BLEND_TIES = [(0.5, 1.0), (0.125, 1.0), (-0.5, 1.0), (-1.0, 2.0)]
+PHASE_TIES = [(0.5, 1.0), (0.5j, 1.0), (-0.25, 0.5)]
+
+
+def test_blend_ties_are_exact_halves():
+    def has_tie(rgb, strength):
+        return any((b + strength * (c - b)) % 1.0 == 0.5 for b, c in zip(REF_BACKGROUND, rgb))
+
+    for value, vmax in BLEND_TIES:
+        assert has_tie(REF_POSITIVE if value >= 0 else REF_NEGATIVE, abs(value) / vmax)
+    for value, vmax in PHASE_TIES:
+        hue = (np.angle(value) / (2.0 * np.pi)) % 1.0
+        full = [int(round(255 * c)) for c in colorsys.hsv_to_rgb(hue, 1.0, 1.0)]
+        assert has_tie(full, abs(value) / vmax)
+
+
+def test_color_kernel_edge_cases_match_scalar_reference():
+    diverging = [(1.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (-0.0, 1.0), (2.5, 1.0), (-7.0, 2.0),
+                 (1e-300, 1.0), (5e-324, 1e-300), (3.0, 0.0), (-3.0, -1.0)] + BLEND_TIES
+    for value, vmax in diverging:
+        assert diverging_color(value, vmax) == ref_diverging(value, vmax), (value, vmax)
+
+    phases = [k * math.pi / 3 for k in range(-6, 7)] + [math.pi, -math.pi, 1e-300, -1e-300]
+    complex_values = [complex(math.cos(p), math.sin(p)) for p in phases]
+    complex_values += [1 + 0j, -1 + 0j, complex(-1.0, -0.0), complex(1.0, -1e-300), 1j, -1j,
+                       0j, complex(-0.0, 0.0), complex(0.0, -0.0), 3 + 4j, -30 + 1j]
+    # hues where colorsys's 1 - (1 - f) and f itself round to different channels
+    complex_values += [0.999997891921711 + 0.002053327088898759j,
+                       0.9999810273487268 + 0.0061599466381386594j]
+    for value in complex_values + [value for value, _ in PHASE_TIES]:
+        for vmax in (1.0, 0.5, 2.0, 30.0, 0.0):
+            assert phase_color(value, vmax) == ref_phase(value, vmax), (value, vmax)
+
+    # the same values as batches, where vmax is the batch's own largest magnitude
+    real_batch = [1.0, -1.0, 0.0, -0.0, 0.5, 0.125, -0.5, 0.25, 0.0625]
+    assert _batch_colors(real_batch, "diverging_real") == ref_batch_colors(
+        real_batch, "diverging_real")
+    for mode in ("diverging_real", "phase_hue"):
+        assert _batch_colors(complex_values, mode) == ref_batch_colors(complex_values, mode)
+
+
+def test_color_maps_reject_nan():
+    nan = float("nan")
+    for value, vmax in ((nan, 1.0), (1.0, nan)):
+        with pytest.raises(ValueError):
+            diverging_color(value, vmax)
+        with pytest.raises(ValueError):
+            phase_color(complex(value, 0.0), vmax)
+
+
+def test_all_zero_batch_colors_background():
+    zeros = [0.0, -0.0, 0j, complex(-0.0, -0.0)]
+    for mode in ("diverging_real", "phase_hue"):
+        assert _batch_colors(zeros, mode) == ["#ffffff"] * 4
