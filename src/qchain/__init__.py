@@ -20,7 +20,7 @@ from .chain import (
     real_mode_basis,
     to_normal_coords,
 )
-from .expr import StateExprError, build_state, parse_state_expr, pretty
+from .expr import StateExprError, build_state, creator_state, parse_state_expr, pretty
 from .fock import (
     FockState,
     apply_create,
@@ -46,7 +46,7 @@ from .sampling import (
     sample_oscillator2d,
 )
 from .wavefunction import (
-    EvalContext,
+    CreatorState,
     eigenfunction_1d,
     evaluate,
     evaluate_batch,
@@ -79,7 +79,7 @@ __all__ = [
     "dump_state",
     "hermite_phys",
     "eigenfunction_1d",
-    "EvalContext",
+    "CreatorState",
     "evaluate",
     "evaluate_batch",
     "evaluate_oscillator2d",
@@ -101,6 +101,7 @@ __all__ = [
     "StateExprError",
     "parse_state_expr",
     "pretty",
+    "creator_state",
     "build_state",
     "__version__",
 ]

@@ -17,10 +17,11 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+
+import numpy as np
 
 from .chain import ChainParams, real_mode_basis
-from .expr import StateExprError, evaluate_expr, parse_state_expr, pretty
+from .expr import StateExprError, creator_state, evaluate_expr, parse_state_expr, pretty
 from .fock import dump_state
 from .render import render_parallel_axes, render_scatter2d
 from .sampling import (
@@ -33,7 +34,7 @@ from .sampling import (
     sample_oscillator2d,
 )
 
-__all__ = ["PRESETS", "RunConfig", "build_arg_parser", "run", "run_oscillator2d", "main"]
+__all__ = ["PRESETS", "build_arg_parser", "run", "run_oscillator2d", "main"]
 
 # Named presets for the stock figures.  fig1 is the 2D oscillator; the rest
 # are chain states.  N for fig7/fig8* is a documented choice (11), not a
@@ -49,18 +50,6 @@ PRESETS = {
     "fig8a": {"n": 11, "state": "b[5] b[6] vac"},
     "fig8b": {"n": 11, "state": "b[5] b[5] vac"},
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one chain run needs: physics, state, render, destinations."""
-
-    chain: ChainParams
-    state: object  # parsed state expression (AST root)
-    render: RenderSpec
-    output_path: str
-    samples_path: str | None = None
-    state_dump_path: str | None = None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -134,39 +123,44 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def run(config: RunConfig) -> int:
-    """Chain pipeline: basis, state, samples, graphic (and optional dumps)."""
-    basis = real_mode_basis(config.chain)
-    state = evaluate_expr(config.state, config.chain)
-    label = pretty(config.state)
-
-    spec = config.render
-    batch = sample_chain_state(state, basis, spec, state_label=label)
-    svg = render_parallel_axes(batch)
-
-    _write_atomic(config.output_path, svg)
-    if config.samples_path is not None:
-        _write_atomic(config.samples_path, dump_samples(batch))
-    if config.state_dump_path is not None:
-        _write_atomic(config.state_dump_path, dump_state(state))
-    print(f"n={config.chain.n_sites} state='{label}' samples={spec.sample_count} "
-          f"seed={spec.seed} out={config.output_path}")
+def _write_figure(batch, render, output_path: str, samples_path: str | None,
+                  extra: tuple = ()) -> int:
+    """Check the values, write the figure, the sample table and ``extra``
+    (path, text) pairs, and print the summary line."""
+    if not np.all(np.isfinite(batch.values)):
+        raise ValueError("wavefunction values are not finite")
+    if not np.any(batch.values):
+        raise ValueError("every sampled wavefunction value is zero")
+    _write_atomic(output_path, render(batch))
+    if samples_path is not None:
+        _write_atomic(samples_path, dump_samples(batch))
+    for path, text in extra:
+        _write_atomic(path, text)
+    print(f"n={batch.n_dims} state='{batch.state_label}' samples={batch.spec.sample_count} "
+          f"seed={batch.spec.seed} out={output_path}")
     return 0
+
+
+def run(chain: ChainParams, ast, spec: RenderSpec, output_path: str,
+        samples_path: str | None = None, state_dump_path: str | None = None) -> int:
+    """Chain pipeline: basis, state, samples, graphic (and optional dumps).
+
+    The state is evaluated in creator form; its occupation terms are
+    expanded only for ``state_dump_path``.
+    """
+    state = creator_state(ast, chain)
+    batch = sample_chain_state(state, real_mode_basis(chain), spec, state_label=pretty(ast))
+    extra = () if state_dump_path is None else (
+        (state_dump_path, dump_state(evaluate_expr(ast, chain))),)
+    return _write_figure(batch, render_parallel_axes, output_path, samples_path, extra)
 
 
 def run_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float,
                      render: RenderSpec, output_path: str,
                      samples_path: str | None = None) -> int:
     """2D oscillator pipeline: sample the (nu1, nu2) eigenstate, write a scatter chart."""
-    spec = render
-    batch = sample_oscillator2d(nu1, nu2, mass, kappa, spec)
-    svg = render_scatter2d(batch)
-    _write_atomic(output_path, svg)
-    if samples_path is not None:
-        _write_atomic(samples_path, dump_samples(batch))
-    print(f"n=2 state='{batch.state_label}' samples={spec.sample_count} "
-          f"seed={spec.seed} out={output_path}")
-    return 0
+    batch = sample_oscillator2d(nu1, nu2, mass, kappa, render)
+    return _write_figure(batch, render_scatter2d, output_path, samples_path)
 
 
 def main(argv=None) -> int:
@@ -196,16 +190,7 @@ def main(argv=None) -> int:
                 raise ValueError("mass and kappa must be positive")
             window = _default(args.window,
                               default_window([math.sqrt(kappa / mass)], mass))
-            spec = RenderSpec(
-                sample_count=_default(args.samples, 20000),
-                window=window,
-                seed=_default(args.seed, 0),
-                mode="scatter2d",
-                color_mode=_default(args.color_mode, "diverging_real"),
-                width=_default(args.width, 900),
-                height=_default(args.height, 560),
-            )
-            out = _default(args.out, f"{args.preset}.svg" if args.preset else "oscillator2d.svg")
+            default_out = "oscillator2d.svg"
         else:
             if args.nu1 is not None or args.nu2 is not None:
                 raise ValueError("--nu1/--nu2 require --mode2d")
@@ -216,16 +201,17 @@ def main(argv=None) -> int:
             chain = ChainParams(n_sites=args.n, mass=mass, kappa=kappa, gamma=gamma)
             ast = parse_state_expr(args.state, chain.n_sites)
             window = _default(args.window, chain_window(real_mode_basis(chain)))
-            spec = RenderSpec(
-                sample_count=_default(args.samples, 20000),
-                window=window,
-                seed=_default(args.seed, 0),
-                mode="parallel_axes",
-                color_mode=_default(args.color_mode, "diverging_real"),
-                width=_default(args.width, 900),
-                height=_default(args.height, 560),
-            )
-            out = _default(args.out, f"{args.preset}.svg" if args.preset else "chain.svg")
+            default_out = "chain.svg"
+        spec = RenderSpec(
+            sample_count=_default(args.samples, 20000),
+            window=window,
+            seed=_default(args.seed, 0),
+            mode="scatter2d" if args.mode2d else "parallel_axes",
+            color_mode=_default(args.color_mode, "diverging_real"),
+            width=_default(args.width, 900),
+            height=_default(args.height, 560),
+        )
+        out = _default(args.out, f"{args.preset}.svg" if args.preset else default_out)
     except (StateExprError, ValueError) as exc:
         print(f"qchain: error: {exc}", file=sys.stderr)
         return 1
@@ -234,10 +220,8 @@ def main(argv=None) -> int:
         if args.mode2d:
             return run_oscillator2d(nu1, nu2, mass, kappa, spec, out,
                                     samples_path=args.dump_samples)
-        config = RunConfig(chain=chain, state=ast, render=spec, output_path=out,
-                           samples_path=args.dump_samples,
-                           state_dump_path=args.dump_state)
-        return run(config)
+        return run(chain, ast, spec, out, samples_path=args.dump_samples,
+                   state_dump_path=args.dump_state)
     except OSError as exc:
         print(f"qchain: i/o error: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,9 @@ is the superposition with coefficients 1 and i.  Every product must
 ultimately apply its operators to ``vac``.
 
 Parsing reports syntax errors, out-of-range indices, and type errors (for
-instance adding a scalar to a state) with a character position.
+instance adding a scalar to a state) with a character position.  One walk
+of the tree gives :func:`creator_state` (creator vectors, what evaluation
+uses) and :func:`evaluate_expr` (occupation-number terms).
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .chain import ChainParams
+import numpy as np
+
+from .chain import ChainParams, mode_profile
 from .fock import FockState, apply_create, apply_create_local, linear_combine, vacuum
+from .wavefunction import CreatorState
 
 __all__ = [
     "StateExprError",
@@ -36,6 +41,7 @@ __all__ = [
     "Sum",
     "parse_state_expr",
     "pretty",
+    "creator_state",
     "evaluate_expr",
     "build_state",
 ]
@@ -204,58 +210,73 @@ class _Parser:
         )
 
 
-# --- validation -----------------------------------------------------------
+# --- walking the AST --------------------------------------------------------
+# The walk gives (kind, value): a scalar is a complex number; an operator or a
+# state is a polynomial {creators in the order written: coefficient}, a
+# state's applied to vac from the right.  A creator is ("a", k), ("b", n), or
+# ("+", ((coefficient, creator), ...)) for a sum of single creators.
 
 _SCALAR, _OP, _STATE = "scalar", "operator", "state"
 
 
-def _infer_type(node):
+def _walk(node, params: ChainParams):
     if isinstance(node, Scalar):
-        return _SCALAR
+        return _SCALAR, node.value
     if isinstance(node, Create):
-        return _OP
+        h = params.max_wavenumber
+        if node.kind == "a" and not -h <= node.index <= h:
+            raise StateExprError(
+                f"wave number {node.index} out of range -{h}..{h} for {params.n_sites} sites",
+                node.pos)
+        if node.kind == "b" and not 1 <= node.index <= params.n_sites:
+            raise StateExprError(f"site {node.index} out of range 1..{params.n_sites}", node.pos)
+        return _OP, {((node.kind, node.index),): 1.0}
     if isinstance(node, Vac):
-        return _STATE
+        return _STATE, {(): 1.0}
     if isinstance(node, Sum):
-        kinds = [_infer_type(t) for t in node.terms]
-        first = kinds[0]
-        for t, k in zip(node.terms[1:], kinds[1:]):
-            if k != first:
-                raise StateExprError(f"cannot add a {k} to a {first}", t.pos)
-        return first
+        parts = [_walk(t, params) for t in node.terms]
+        kind = parts[0][0]
+        for t, (k, _) in zip(node.terms[1:], parts[1:]):
+            if k != kind:
+                raise StateExprError(f"cannot add a {k} to a {kind}", t.pos)
+        if kind == _SCALAR:
+            return kind, sum(v for _, v in parts)
+        monos = [(m, c) for _, poly in parts for m, c in poly.items()]
+        if kind == _OP and all(len(m) == 1 for m, _ in monos):
+            return kind, {(("+", tuple((c, m[0]) for m, c in monos)),): 1.0}
+        return kind, _poly_product([((), 1.0)], monos)  # like terms merged
     if isinstance(node, Product):
-        acc = _infer_type(node.factors[-1])
+        kind, acc = _walk(node.factors[-1], params)
         for factor in reversed(node.factors[:-1]):
-            kind = _infer_type(factor)
-            if kind == _STATE:
+            fkind, fval = _walk(factor, params)
+            if fkind == _STATE:
                 raise StateExprError("a state can only stand last in a product", factor.pos)
             if kind == _SCALAR:
-                continue  # scalars scale anything
-            if acc == _SCALAR:
-                acc = _OP
-            elif acc in (_OP, _STATE):
-                pass  # operator applied to operator or state keeps the type
-        return acc
+                kind, acc = fkind, (fval * acc if fkind == _SCALAR else
+                                    {m: c * acc for m, c in fval.items()})
+            elif fkind == _SCALAR:
+                acc = {m: fval * c for m, c in acc.items()}
+            else:
+                acc = _poly_product(fval.items(), acc.items())
+        return kind, acc
     raise TypeError(f"unknown node {node!r}")
 
 
-def _check_indices(node, params: ChainParams):
-    if isinstance(node, Create):
-        if node.kind == "a":
-            h = params.max_wavenumber
-            if not -h <= node.index <= h:
-                raise StateExprError(
-                    f"wave number {node.index} out of range -{h}..{h} for {params.n_sites} sites",
-                    node.pos,
-                )
-        else:
-            if not 1 <= node.index <= params.n_sites:
-                raise StateExprError(
-                    f"site {node.index} out of range 1..{params.n_sites}", node.pos
-                )
-    elif isinstance(node, (Sum, Product)):
-        for child in node.terms if isinstance(node, Sum) else node.factors:
-            _check_indices(child, params)
+def _poly_product(left, right) -> dict:
+    """Product of two creator polynomials given as (creators, coefficient) pairs."""
+    out = {}
+    for m1, c1 in left:
+        for m2, c2 in right:
+            out[m1 + m2] = out.get(m1 + m2, 0.0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _state_poly(node, params: ChainParams) -> dict:
+    kind, poly = _walk(node, params)
+    if kind != _STATE:
+        raise StateExprError("expression must apply its operators to 'vac'",
+                             getattr(node, "pos", 0))
+    return poly
 
 
 def parse_state_expr(src: str, n_sites: int):
@@ -273,9 +294,7 @@ def parse_state_expr(src: str, n_sites: int):
     trailing = parser.peek()
     if trailing[0] != "end":
         raise StateExprError(f"unexpected {trailing[1]!r} after expression", trailing[2])
-    _check_indices(ast, params)
-    if _infer_type(ast) != _STATE:
-        raise StateExprError("expression must apply its operators to 'vac'", ast.pos)
+    _state_poly(ast, params)  # index ranges and kinds
     return ast
 
 
@@ -337,72 +356,50 @@ def pretty(node) -> str:
 # --- evaluation ------------------------------------------------------------
 
 
-def _eval(node, params: ChainParams):
-    """Evaluate to ('scalar', complex) | ('op', {monomial: coeff}) | ('state', FockState)."""
-    if isinstance(node, Scalar):
-        return ("scalar", node.value)
-    if isinstance(node, Create):
-        return ("op", {((node.kind, node.index),): 1.0 + 0.0j})
-    if isinstance(node, Vac):
-        return ("state", vacuum(params))
-    if isinstance(node, Sum):
-        kinds_values = [_eval(t, params) for t in node.terms]
-        kind = kinds_values[0][0]
-        if kind == "scalar":
-            return ("scalar", sum(v for _, v in kinds_values))
-        if kind == "op":
-            merged = {}
-            for _, poly in kinds_values:
-                for mono, coeff in poly.items():
-                    merged[mono] = merged.get(mono, 0.0 + 0.0j) + coeff
-            return ("op", {m: c for m, c in merged.items() if c != 0})
-        return ("state", linear_combine([(1.0, v) for _, v in kinds_values]))
-    if isinstance(node, Product):
-        kind, acc = _eval(node.factors[-1], params)
-        for factor in reversed(node.factors[:-1]):
-            fkind, fval = _eval(factor, params)
-            kind, acc = _combine(fkind, fval, kind, acc, factor.pos)
-        return (kind, acc)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _combine(lkind, lval, rkind, rval, pos):
-    if lkind == "scalar":
-        if rkind == "scalar":
-            return ("scalar", lval * rval)
-        if rkind == "op":
-            return ("op", {m: lval * c for m, c in rval.items()})
-        return ("state", linear_combine([(lval, rval)]))
-    if lkind == "op":
-        if rkind == "scalar":
-            return ("op", {m: c * rval for m, c in lval.items()})
-        if rkind == "op":
-            merged = {}
-            for m1, c1 in sorted(lval.items()):
-                for m2, c2 in sorted(rval.items()):
-                    mono = tuple(sorted(m1 + m2))
-                    merged[mono] = merged.get(mono, 0.0 + 0.0j) + c1 * c2
-            return ("op", merged)
-        # operator applied to a state: expand the polynomial term by term
-        pairs = [(coeff, _apply_monomial(mono, rval)) for mono, coeff in sorted(lval.items())]
-        return ("state", linear_combine(pairs))
-    raise StateExprError("a state can only stand last in a product", pos)
-
-
-def _apply_monomial(mono, state: FockState) -> FockState:
-    out = state
-    for kind, index in reversed(mono):
-        out = apply_create(out, index) if kind == "a" else apply_create_local(out, index)
-    return out
+def _apply(creator, state: FockState) -> FockState:
+    kind, arg = creator
+    if kind == "a":
+        return apply_create(state, arg)
+    if kind == "b":
+        return apply_create_local(state, arg)
+    return linear_combine([(coeff, _apply(term, state)) for coeff, term in arg])
 
 
 def evaluate_expr(node, params: ChainParams) -> FockState:
-    """Evaluate a parsed expression to the state it denotes."""
-    kind, value = _eval(node, params)
-    if kind != "state":
-        raise StateExprError("expression must apply its operators to 'vac'",
-                             getattr(node, "pos", 0))
-    return value
+    """Evaluate a parsed expression to the occupation-number state it denotes."""
+    pairs = []
+    for mono, coeff in _state_poly(node, params).items():
+        state = vacuum(params)
+        for creator in reversed(mono):
+            state = _apply(creator, state)
+        pairs.append((coeff, state))
+    return linear_combine(pairs) if pairs else FockState(params, {})
+
+
+def _vector(creator, n_sites: int) -> np.ndarray:
+    kind, arg = creator
+    if kind == "a":
+        return (np.arange(n_sites) == arg + n_sites // 2).astype(float)
+    if kind == "b":
+        return mode_profile(n_sites, arg)
+    return sum(coeff * _vector(term, n_sites) for coeff, term in arg)
+
+
+def creator_state(node, params: ChainParams) -> CreatorState:
+    """The state a parsed expression denotes, as creator vectors and monomials.
+
+    A parenthesized sum of single creators such as ``(a[1] + i a[-1])``
+    becomes one vector.
+    """
+    # creators commute: like terms are those with the same creators in any order
+    poly = _poly_product([((), 1.0)], [(tuple(sorted(m, key=repr)), c)
+                                       for m, c in _state_poly(node, params).items()])
+    used = list(dict.fromkeys(k for mono in poly for k in mono))
+    vectors = np.array([_vector(k, params.n_sites) for k in used]).reshape(len(used),
+                                                                          params.n_sites)
+    monomials = tuple((c, tuple(m.count(k) for k in used)) for m, c in poly.items())
+    return CreatorState(params, vectors if np.any(vectors.imag) else vectors.real.copy(),
+                        monomials)
 
 
 def build_state(src: str, params: ChainParams):

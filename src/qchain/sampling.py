@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import ModeBasis
 from .fock import FockState
-from .wavefunction import evaluate_batch, evaluate_oscillator2d
+from .wavefunction import CreatorState, evaluate_batch, evaluate_oscillator2d
 
 __all__ = [
     "RNG_ID",
@@ -109,7 +109,7 @@ def draw_samples(spec: RenderSpec, n_dims: int) -> np.ndarray:
     return rng.uniform(-spec.window, spec.window, size=(spec.sample_count, n_dims))
 
 
-def sample_chain_state(state: FockState, basis: ModeBasis, spec: RenderSpec,
+def sample_chain_state(state: CreatorState | FockState, basis: ModeBasis, spec: RenderSpec,
                        state_label: str = "") -> SampleBatch:
     """Draw samples for a chain state and evaluate its wavefunction on them."""
     points = draw_samples(spec, basis.params.n_sites)

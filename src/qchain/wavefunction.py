@@ -1,18 +1,17 @@
 """Position-space wavefunction evaluation for chain states.
 
-The decoupled chain is a product of one-dimensional harmonic oscillators in
-the normal coordinates, so an occupation-number state evaluates at a
-configuration q as: transform q to the mode frame, evaluate each mode's
-normalized 1D eigenfunction at its coordinate, take the product, and sum the
-state's terms with their amplitudes.
+A state is a sum of products of creators applied to the vacuum, and each
+creator is a vector c in mode space (``a[k]`` the unit vector of mode k,
+``b[n]`` the mode profile at site n).  In the dimensionless mode coordinates
+y (normal coordinates times sqrt(m*Omega_k)), (c_1.a^+)...(c_p.a^+) vac has
+the wavefunction psi0(y) :L_1...L_p:, the Wick product of the linear forms
+L_j = sqrt(2) c_j.y with pair contractions c_i.c_j (Wick, Phys. Rev. 80,
+268, 1950).  A FockState is evaluated the same way: |nu> is
+prod_k (a_k^+)^nu_k vac / sqrt(prod_k nu_k!), one unit vector per mode.
 
-The Gaussian envelopes and normalization prefactors are identical for every
-term of a state, so they are accumulated once per sample in log space and
-applied at the end.  Only the order-dependent Hermite factors (which are
-polynomial, hence of moderate magnitude) stay in linear arithmetic.  This
-keeps long chains from underflowing to zero spuriously and is also the fast
-path: per-mode factor tables are computed once per batch and shared across
-all terms.
+The vacuum psi0, Gaussians and normalization prefactors, is summed in log
+space and exponentiated once per sample; values below the smallest double
+still underflow to zero, and the command line refuses an all-zero batch.
 
 All functions here are pure; evaluation can fan out over a shared immutable
 basis and state from any number of workers.
@@ -25,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ModeBasis, build_coupling_matrix
+from .chain import ChainParams, ModeBasis, build_coupling_matrix
 from .fock import FockState, energy_eigenvalue
 
 __all__ = [
+    "CreatorState",
     "hermite_phys",
     "eigenfunction_1d",
-    "EvalContext",
     "evaluate",
     "evaluate_batch",
     "evaluate_oscillator2d",
@@ -85,40 +84,59 @@ def eigenfunction_1d(order: int, omega_ang: float, mass: float, x):
     return vals if np.ndim(vals) else float(vals)
 
 
-def _normed_hermite_table(y: np.ndarray, max_order: int) -> np.ndarray:
-    """Table of H_j(y)/sqrt(2^j j!) for j = 0..max_order, vectorized over y."""
-    table = np.empty((max_order + 1,) + y.shape)
-    table[0] = 1.0
-    if max_order >= 1:
-        table[1] = math.sqrt(2.0) * y
-    for j in range(1, max_order):
-        table[j + 1] = math.sqrt(2.0 / (j + 1)) * y * table[j] - math.sqrt(
-            j / (j + 1)
-        ) * table[j - 1]
-    return table
-
-
 @dataclass(frozen=True)
-class EvalContext:
-    """Evaluation context: the mode basis plus the highest eigenfunction
-    order any term of the state needs."""
+class CreatorState:
+    """A chain state as a sum of products of creators applied to the vacuum.
 
-    basis: ModeBasis
-    max_order: int
+    ``vectors`` holds one distinct creator per row, in mode space (columns
+    by ascending wave number).  ``monomials`` is a tuple of (coefficient,
+    multiplicities), one multiplicity per row; the state is the sum of
+    coefficient * prod_j (c_j.a^+)^m_j vac.
+    """
 
-    @classmethod
-    def for_state(cls, state: FockState, basis: ModeBasis) -> "EvalContext":
-        if state.params != basis.params:
-            raise ValueError("state and basis belong to different chains")
-        max_order = max((max(occ) for occ in state.terms), default=0)
-        return cls(basis=basis, max_order=max_order)
+    params: ChainParams
+    vectors: np.ndarray  # (p, N), real or complex
+    monomials: tuple
 
 
-def evaluate_batch(state: FockState, basis: ModeBasis, points) -> np.ndarray:
+def _as_creators(state) -> CreatorState:
+    """The creator form of a FockState (a CreatorState passes through)."""
+    if isinstance(state, CreatorState):
+        return state
+    items = state.sorted_terms()
+    used = sorted({k for occ, _ in items for k, nu in enumerate(occ) if nu})
+    monomials = tuple((amp / math.prod(math.sqrt(math.factorial(nu)) for nu in occ),
+                       tuple(occ[k] for k in used)) for occ, amp in items)
+    unit_rows = np.array(used, dtype=int)[:, None] == np.arange(state.params.n_sites)
+    return CreatorState(state.params, unit_rows.astype(float), monomials)
+
+
+def _wick_power(lin: np.ndarray, gram: np.ndarray, mult: tuple, memo: dict) -> np.ndarray:
+    """Wick power :L^m: = :prod_j L_j^m_j: over the samples, memoized on m.
+
+    ``lin`` has one row of L_j values per creator, ``gram`` the contractions
+    G_ij.  Lowers the last occupied j:
+    :L^m: = L_j :L^(m-e_j): - sum_i (m-e_j)_i G_ij :L^(m-e_j-e_i):.
+    """
+    value = memo.get(mult)
+    if value is None:
+        j = max(i for i, m in enumerate(mult) if m)
+        lower = mult[:j] + (mult[j] - 1,) + mult[j + 1 :]
+        value = lin[j] * _wick_power(lin, gram, lower, memo)
+        for i, m in enumerate(lower):
+            if m and gram[i, j] != 0:
+                reduced = lower[:i] + (m - 1,) + lower[i + 1 :]
+                value -= (m * gram[i, j]) * _wick_power(lin, gram, reduced, memo)
+        memo[mult] = value
+    return value
+
+
+def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
     """Evaluate the wavefunction of ``state`` at many configurations at once.
 
     Parameters
     ----------
+    state : CreatorState or FockState
     points : array_like, shape (M, N)
         One configuration per row, site coordinates in site order.
 
@@ -128,41 +146,40 @@ def evaluate_batch(state: FockState, basis: ModeBasis, points) -> np.ndarray:
         Wavefunction values; the M=1 row matches :func:`evaluate` on that
         point up to BLAS rounding in the coordinate transform.
     """
-    ctx = EvalContext.for_state(state, basis)
+    if state.params != basis.params:
+        raise ValueError("state and basis belong to different chains")
+    state = _as_creators(state)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = basis.params.n_sites
     if points.ndim != 2 or points.shape[1] != n:
         raise ValueError(f"expected points of shape (M, {n}), got {points.shape}")
     m_samples = points.shape[0]
-    if not state.terms:
+    if not state.monomials:
         return np.zeros(m_samples, dtype=complex)
 
     normal = points @ basis.basis  # normal coordinates, row per sample
     scale = np.sqrt(basis.params.mass * basis.frequencies)
     y = normal * scale  # dimensionless mode coordinates
 
-    # Term-independent envelope: Gaussians and normalization prefactors.
+    # Vacuum envelope: Gaussians and normalization prefactors.
     log_env = 0.25 * float(np.sum(np.log(scale * scale / np.pi))) - 0.5 * np.sum(
         y * y, axis=1
     )
     envelope = np.exp(log_env)
 
-    items = state.sorted_terms()
-    per_mode_max = np.max(np.array([occ for occ, _ in items]), axis=0)
-    tables = {
-        mode: _normed_hermite_table(y[:, mode], int(per_mode_max[mode]))
-        for mode in np.nonzero(per_mode_max > 0)[0]
-    }
+    vectors = state.vectors
+    coefs = [complex(coef) for coef, _ in state.monomials]
+    if not np.iscomplexobj(vectors) and not any(c.imag for c in coefs):
+        coefs = [c.real for c in coefs]  # real creators and coefficients: real arithmetic
+    lin = math.sqrt(2.0) * (vectors @ y.T)  # L_j, one row per creator
+    gram = vectors @ vectors.T
+    vac = (0,) * len(vectors)
 
-    acc = np.zeros(m_samples, dtype=complex)
-    for occ, amp in items:
-        factor = None
-        for mode, nu in enumerate(occ):
-            if nu:
-                col = tables[mode][nu]
-                factor = col if factor is None else factor * col
-        acc += amp if factor is None else amp * factor
-    return acc * envelope
+    acc = 0.0
+    for coef, (_, mult) in zip(coefs, state.monomials):
+        memo = {vac: np.ones(m_samples)}
+        acc = acc + coef * _wick_power(lin, gram, tuple(mult), memo)
+    return (acc * envelope).astype(complex)
 
 
 def evaluate(state: FockState, basis: ModeBasis, q) -> complex:

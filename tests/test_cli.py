@@ -163,3 +163,17 @@ def test_phase_color_mode_flag(tmp_path):
                  "--color-mode", "phase_hue", "--out", str(out)])
     assert code == 0
     assert "color_mode=phase_hue" in out.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1001", "--state", "a[1] vac", "--samples", "200"],  # every value underflows
+    ["--n", "5", "--state", "a[1] vac - a[1] vac"],  # the null state
+])
+def test_all_zero_batch_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "zero.svg"
+    table = tmp_path / "zero.csv"
+    code = main(argv + ["--out", str(out), "--dump-samples", str(table)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numeric error" in err
+    assert list(tmp_path.iterdir()) == []  # no figure, no table

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
 from qchain.chain import ChainParams, real_mode_basis
-from qchain.fock import apply_create, apply_create_local, linear_combine, vacuum
+from qchain.cli import PRESETS
+from qchain.expr import creator_state, evaluate_expr, parse_state_expr
+from qchain.fock import FockState, apply_create, apply_create_local, linear_combine, vacuum
+from qchain.sampling import RenderSpec, chain_window, draw_samples
 from qchain.wavefunction import (
+    _wick_power,
     eigenfunction_1d,
     evaluate,
     evaluate_batch,
@@ -205,3 +211,152 @@ def test_hamiltonian_residual_rejects_nodal_points():
     state = apply_create(vacuum(params), 0)  # odd in Q_0, zero at q = 0
     with pytest.raises(ValueError):
         hamiltonian_residual(state, basis, np.zeros(3), floor_ref=1.0)
+
+
+# --- the per-term evaluator that the Wick evaluator replaced, kept as reference
+
+
+def _normed_hermite_table(y, max_order):
+    """Table of H_j(y)/sqrt(2^j j!) for j = 0..max_order, vectorized over y."""
+    table = np.empty((max_order + 1,) + y.shape)
+    table[0] = 1.0
+    if max_order >= 1:
+        table[1] = math.sqrt(2.0) * y
+    for j in range(1, max_order):
+        table[j + 1] = math.sqrt(2.0 / (j + 1)) * y * table[j] - math.sqrt(
+            j / (j + 1)
+        ) * table[j - 1]
+    return table
+
+
+def _reference_batch(state, basis, points):
+    """Sum over occupation terms of the amplitude times per-mode Hermite factors."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not state.terms:
+        return np.zeros(points.shape[0], dtype=complex)
+    scale = np.sqrt(basis.params.mass * basis.frequencies)
+    y = (points @ basis.basis) * scale
+    log_env = 0.25 * float(np.sum(np.log(scale * scale / np.pi))) - 0.5 * np.sum(
+        y * y, axis=1
+    )
+    items = state.sorted_terms()
+    per_mode_max = np.max(np.array([occ for occ, _ in items]), axis=0)
+    tables = {
+        mode: _normed_hermite_table(y[:, mode], int(per_mode_max[mode]))
+        for mode in np.nonzero(per_mode_max > 0)[0]
+    }
+    acc = np.zeros(points.shape[0], dtype=complex)
+    for occ, amp in items:
+        factor = None
+        for mode, nu in enumerate(occ):
+            if nu:
+                col = tables[mode][nu]
+                factor = col if factor is None else factor * col
+        acc += amp if factor is None else amp * factor
+    return acc * np.exp(log_env)
+
+
+def _assert_matches_reference(src, n_sites, samples, seed=0):
+    params = ChainParams(n_sites=n_sites)
+    basis = real_mode_basis(params)
+    ast = parse_state_expr(src, n_sites)
+    fock = evaluate_expr(ast, params)
+    points = draw_samples(RenderSpec(sample_count=samples, window=chain_window(basis),
+                                     seed=seed), n_sites)
+    ref = _reference_batch(fock, basis, points)
+    vmax = float(np.max(np.abs(ref)))
+    # a state whose terms cancel to (nearly) nothing has no batch max to compare to
+    size = _reference_batch(FockState(params, {o: abs(a) for o, a in fock.terms.items()}),
+                            basis, points)
+    assume(vmax > 1e-6 * float(np.max(np.abs(size))))
+    for state in (creator_state(ast, params), fock):
+        got = evaluate_batch(state, basis, points)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * vmax, src
+
+
+CHAIN_PRESETS = sorted((v["n"], v["state"]) for v in PRESETS.values() if "state" in v)
+
+
+@pytest.mark.parametrize("n_sites, src", CHAIN_PRESETS + [(15, "(a[1] + i a[-1]) vac")])
+def test_wick_matches_per_term_reference_on_presets(n_sites, src):
+    _assert_matches_reference(src, n_sites, 2000)
+
+
+@pytest.mark.parametrize("n_sites, src", [(15, "b[1] b[4] b[8] b[11] b[14] vac"),
+                                          (31, "b[3] b[8] b[20] vac")])
+def test_wick_matches_per_term_reference_on_many_term_states(n_sites, src):
+    _assert_matches_reference(src, n_sites, 300)
+
+
+@st.composite
+def _creator_sums(draw, n_sites):
+    h = (n_sites - 1) // 2
+    ops = st.one_of(st.integers(-h, h).map(lambda k: f"a[{k}]"),
+                    st.integers(1, n_sites).map(lambda n: f"b[{n}]"))
+    coef = st.sampled_from(["", "i ", "2 ", "0.5 ", "1.5i "])
+    sign = st.sampled_from([" + ", " - "])
+
+    def factor():
+        if draw(st.booleans()):
+            return draw(ops)
+        terms = [draw(coef) + draw(ops) for _ in range(draw(st.integers(2, 3)))]
+        return "(" + "".join(t if i == 0 else draw(sign) + t for i, t in enumerate(terms)) + ")"
+
+    def term():
+        return draw(coef) + " ".join([factor() for _ in range(draw(st.integers(0, 3)))] + ["vac"])
+
+    terms = [term() for _ in range(draw(st.integers(1, 3)))]
+    return "".join(t if i == 0 else draw(sign) + t for i, t in enumerate(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3, 5, 11]).flatmap(lambda n: st.tuples(st.just(n), _creator_sums(n))),
+       st.integers(0, 2**32 - 1))
+def test_wick_matches_per_term_reference_on_random_states(case, seed):
+    n_sites, src = case
+    _assert_matches_reference(src, n_sites, 64, seed)
+
+
+def test_repeated_creator_memo_stays_linear():
+    # a[0] applied p times: the memo holds multiplicities 0..p only, and the
+    # Wick power of L = sqrt(2) y with contraction 1 is H_p(y) / 2^(p/2)
+    y = np.linspace(-3.0, 3.0, 41)
+    memo = {(0,): np.ones_like(y)}
+    got = _wick_power(math.sqrt(2.0) * y[None, :], np.ones((1, 1)), (12,), memo)
+    assert len(memo) == 13
+    ref = hermite_phys(12, y) / 2.0**6
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_eight_localized_quanta_at_n31():
+    # 48.9 million occupation terms when expanded; eight creator vectors here
+    params = ChainParams(n_sites=31)
+    basis = real_mode_basis(params)
+    state = creator_state(parse_state_expr("b[1] b[2] b[3] b[4] b[5] b[6] b[7] b[8] vac", 31),
+                          params)
+    assert state.vectors.shape == (8, 31)
+    points = draw_samples(RenderSpec(sample_count=2000, window=chain_window(basis), seed=5), 31)
+    vals = evaluate_batch(state, basis, points)
+    assert np.all(np.isfinite(vals)) and np.any(vals != 0)
+    mirrored = evaluate_batch(state, basis, -points)
+    assert np.max(np.abs(mirrored - vals)) <= 1e-12 * np.max(np.abs(vals))
+
+
+def test_creator_form_merges_sums_and_repeats():
+    params = ChainParams(n_sites=5)
+    wave = creator_state(parse_state_expr("(a[1] + i a[-1]) vac", 5), params)
+    assert wave.vectors.shape == (1, 5) and wave.monomials == ((1.0, (1,)),)
+    assert np.array_equal(wave.vectors[0], [0, 1j, 0, 1, 0])
+    pair = creator_state(parse_state_expr("b[5] b[5] vac + b[2] b[5] vac - b[5] b[2] vac", 5),
+                         params)
+    assert pair.vectors.dtype == float and pair.monomials == ((1.0, (2,)),)
+
+
+def test_state_and_basis_from_different_chains():
+    state = apply_create(vacuum(ChainParams(n_sites=5)), 1)
+    basis = real_mode_basis(ChainParams(n_sites=7))
+    with pytest.raises(ValueError, match="different chains"):
+        evaluate_batch(state, basis, np.zeros((2, 7)))
+    wick = creator_state(parse_state_expr("a[1] vac", 5), ChainParams(n_sites=5))
+    with pytest.raises(ValueError, match="different chains"):
+        evaluate_batch(wick, basis, np.zeros((2, 7)))
