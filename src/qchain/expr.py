@@ -24,6 +24,7 @@ uses) and :func:`evaluate_expr` (occupation-number terms).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,9 +213,9 @@ class _Parser:
 
 # --- walking the AST --------------------------------------------------------
 # The walk gives (kind, value): a scalar is a complex number; an operator or a
-# state is a polynomial {creators in the order written: coefficient}, a
-# state's applied to vac from the right.  A creator is ("a", k), ("b", n), or
-# ("+", ((coefficient, creator), ...)) for a sum of single creators.
+# state is a polynomial {creators: coefficient}, a state's applied to vac from
+# the right.  A creator is ("a", k), ("b", n), or ("+", ((coefficient,
+# creator), ...)) for a sum of single creators.
 
 _SCALAR, _OP, _STATE = "scalar", "operator", "state"
 
@@ -263,11 +264,16 @@ def _walk(node, params: ChainParams):
 
 
 def _poly_product(left, right) -> dict:
-    """Product of two creator polynomials given as (creators, coefficient) pairs."""
-    out = {}
+    """Product of two creator polynomials given as (creators, coefficient) pairs.
+
+    Creators commute, so monomials that differ only in order are merged; the
+    merged monomial keeps the order in which it first appears.
+    """
+    out, first = {}, {}
     for m1, c1 in left:
         for m2, c2 in right:
-            out[m1 + m2] = out.get(m1 + m2, 0.0) + c1 * c2
+            mono = first.setdefault(tuple(sorted(map(repr, m1 + m2))), m1 + m2)
+            out[mono] = out.get(mono, 0.0) + c1 * c2
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -391,13 +397,12 @@ def creator_state(node, params: ChainParams) -> CreatorState:
     A parenthesized sum of single creators such as ``(a[1] + i a[-1])``
     becomes one vector.
     """
-    # creators commute: like terms are those with the same creators in any order
-    poly = _poly_product([((), 1.0)], [(tuple(sorted(m, key=repr)), c)
-                                       for m, c in _state_poly(node, params).items()])
+    poly = _state_poly(node, params)
     used = list(dict.fromkeys(k for mono in poly for k in mono))
     vectors = np.array([_vector(k, params.n_sites) for k in used]).reshape(len(used),
                                                                           params.n_sites)
-    monomials = tuple((c, tuple(m.count(k) for k in used)) for m, c in poly.items())
+    counts = [(c, Counter(mono)) for mono, c in poly.items()]
+    monomials = tuple((c, tuple(count[k] for k in used)) for c, count in counts)
     return CreatorState(params, vectors if np.any(vectors.imag) else vectors.real.copy(),
                         monomials)
 

@@ -1,17 +1,14 @@
 """Position-space wavefunction evaluation for chain states.
 
-A state is a sum of products of creators applied to the vacuum, and each
-creator is a vector c in mode space (``a[k]`` the unit vector of mode k,
-``b[n]`` the mode profile at site n).  In the dimensionless mode coordinates
-y (normal coordinates times sqrt(m*Omega_k)), (c_1.a^+)...(c_p.a^+) vac has
-the wavefunction psi0(y) :L_1...L_p:, the Wick product of the linear forms
-L_j = sqrt(2) c_j.y with pair contractions c_i.c_j (Wick, Phys. Rev. 80,
-268, 1950).  A FockState is evaluated the same way: |nu> is
-prod_k (a_k^+)^nu_k vac / sqrt(prod_k nu_k!), one unit vector per mode.
-
-The vacuum psi0, Gaussians and normalization prefactors, is summed in log
-space and exponentiated once per sample; values below the smallest double
-still underflow to zero, and the command line refuses an all-zero batch.
+Each creator of a state is a vector c in mode space (``a[k]`` the unit vector
+of mode k, ``b[n]`` the mode profile at site n).  In the dimensionless mode
+coordinates y (normal coordinates times sqrt(m*Omega_k)), prod_j (c_j.a^+)^m_j
+vac has the wavefunction psi0(y) :prod_j L_j^m_j:, the Wick product of the
+linear forms L_j = sqrt(2) c_j.y with pair contractions c_i.c_j (Wick, Phys.
+Rev. 80, 268, 1950).  It is computed divided by sqrt(prod_j m_j!), which keeps
+it O(1); a FockState term |nu> is that quotient for unit vectors.  The vacuum
+psi0 is summed in log space and exponentiated once per sample; values below
+the smallest double still underflow to zero.
 
 All functions here are pure; evaluation can fan out over a shared immutable
 basis and state from any number of workers.
@@ -99,36 +96,43 @@ class CreatorState:
     monomials: tuple
 
 
-def _as_creators(state) -> CreatorState:
-    """The creator form of a FockState (a CreatorState passes through)."""
-    if isinstance(state, CreatorState):
-        return state
+def _weighted_terms(state):
+    """Creator vectors and (weight, multiplicities) pairs, one per term of the
+    state, which is the sum of weight * psi0 * W(m); see :func:`_wick_power`.
+    A FockState gives one unit vector per occupied mode and its amplitudes."""
+    if isinstance(state, CreatorState):  # weight = coefficient * sqrt(prod_j m_j!)
+        return state.vectors, [(c * math.prod(math.sqrt(t) for m in mult for t in range(2, m + 1)),
+                                mult) for c, mult in state.monomials]
     items = state.sorted_terms()
     used = sorted({k for occ, _ in items for k, nu in enumerate(occ) if nu})
-    monomials = tuple((amp / math.prod(math.sqrt(math.factorial(nu)) for nu in occ),
-                       tuple(occ[k] for k in used)) for occ, amp in items)
     unit_rows = np.array(used, dtype=int)[:, None] == np.arange(state.params.n_sites)
-    return CreatorState(state.params, unit_rows.astype(float), monomials)
+    return unit_rows.astype(float), [(amp, tuple(occ[k] for k in used)) for occ, amp in items]
 
 
 def _wick_power(lin: np.ndarray, gram: np.ndarray, mult: tuple, memo: dict) -> np.ndarray:
-    """Wick power :L^m: = :prod_j L_j^m_j: over the samples, memoized on m.
+    """Normalized Wick power W(m) = :prod_j L_j^m_j: / sqrt(prod_j m_j!) over the samples.
 
-    ``lin`` has one row of L_j values per creator, ``gram`` the contractions
-    G_ij.  Lowers the last occupied j:
-    :L^m: = L_j :L^(m-e_j): - sum_i (m-e_j)_i G_ij :L^(m-e_j-e_i):.
+    ``lin`` holds L_j (one row per creator), ``gram`` the contractions G_ij,
+    ``memo`` values by multiplicities, starting with the empty product.  With
+    n = m - e_j for the last occupied j, W(m) = (L_j W(n) - sum_i sqrt(n_i)
+    G_ij W(n - e_i)) / sqrt(m_j) stays O(1) at any occupation.  It runs on a
+    stack, not by recursion, so a thousand quanta need no deep call stack.
     """
-    value = memo.get(mult)
-    if value is None:
-        j = max(i for i, m in enumerate(mult) if m)
-        lower = mult[:j] + (mult[j] - 1,) + mult[j + 1 :]
-        value = lin[j] * _wick_power(lin, gram, lower, memo)
-        for i, m in enumerate(lower):
-            if m and gram[i, j] != 0:
-                reduced = lower[:i] + (m - 1,) + lower[i + 1 :]
-                value -= (m * gram[i, j]) * _wick_power(lin, gram, reduced, memo)
-        memo[mult] = value
-    return value
+    stack = [mult]
+    while stack:
+        m = stack.pop()
+        if m in memo:
+            continue
+        j = max(i for i, k in enumerate(m) if k)
+        n = m[:j] + (m[j] - 1,) + m[j + 1 :]
+        parts = [(lin[j], n)] + [(-math.sqrt(n[i]) * gram[i, j], n[:i] + (n[i] - 1,) + n[i + 1 :])
+                                 for i in np.flatnonzero(gram[: j + 1, j]) if n[i]]
+        missing = [r for _, r in parts if r not in memo]
+        if missing:
+            stack += [m] + missing
+            continue
+        memo[m] = sum(f * memo[r] for f, r in parts) / math.sqrt(m[j])
+    return memo[mult]
 
 
 def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
@@ -148,14 +152,11 @@ def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
     """
     if state.params != basis.params:
         raise ValueError("state and basis belong to different chains")
-    state = _as_creators(state)
+    vectors, terms = _weighted_terms(state)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = basis.params.n_sites
     if points.ndim != 2 or points.shape[1] != n:
         raise ValueError(f"expected points of shape (M, {n}), got {points.shape}")
-    m_samples = points.shape[0]
-    if not state.monomials:
-        return np.zeros(m_samples, dtype=complex)
 
     normal = points @ basis.basis  # normal coordinates, row per sample
     scale = np.sqrt(basis.params.mass * basis.frequencies)
@@ -167,18 +168,13 @@ def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
     )
     envelope = np.exp(log_env)
 
-    vectors = state.vectors
-    coefs = [complex(coef) for coef, _ in state.monomials]
-    if not np.iscomplexobj(vectors) and not any(c.imag for c in coefs):
-        coefs = [c.real for c in coefs]  # real creators and coefficients: real arithmetic
+    weights = [complex(w) for w, _ in terms]
+    if not np.iscomplexobj(vectors) and not any(w.imag for w in weights):
+        weights = [w.real for w in weights]  # real creators and weights: real arithmetic
     lin = math.sqrt(2.0) * (vectors @ y.T)  # L_j, one row per creator
     gram = vectors @ vectors.T
-    vac = (0,) * len(vectors)
-
-    acc = 0.0
-    for coef, (_, mult) in zip(coefs, state.monomials):
-        memo = {vac: np.ones(m_samples)}
-        acc = acc + coef * _wick_power(lin, gram, tuple(mult), memo)
+    vac = {(0,) * len(vectors): np.ones(points.shape[0])}
+    acc = sum(w * _wick_power(lin, gram, mult, dict(vac)) for w, (_, mult) in zip(weights, terms))
     return (acc * envelope).astype(complex)
 
 

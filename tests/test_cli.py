@@ -10,6 +10,7 @@ from qchain.cli import PRESETS, main
 from qchain.expr import build_state
 from qchain.fock import dump_state
 from qchain.sampling import load_samples
+from qchain.wavefunction import evaluate_batch
 
 
 def test_preset_table():
@@ -177,3 +178,25 @@ def test_all_zero_batch_exits_2(argv, tmp_path, capsys):
     assert code == 2
     assert "numeric error" in err
     assert list(tmp_path.iterdir()) == []  # no figure, no table
+
+
+def test_long_product_of_operator_sums(tmp_path):
+    src = " ".join(["(a[1] a[2] + a[-1])"] * 20) + " vac"
+    table = tmp_path / "t.csv"
+    code = main(["--n", "5", "--state", src, "--samples", "50",
+                 "--out", str(tmp_path / "t.svg"), "--dump-samples", str(table)])
+    assert code == 0
+    batch = load_samples(table.read_text())
+    params = ChainParams(n_sites=5)
+    state, _ = build_state(src, params)
+    ref = evaluate_batch(state, real_mode_basis(params), batch.points)
+    assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_thousand_distinct_creators_exit_2_not_traceback(tmp_path, capsys):
+    src = " ".join(f"a[{k}]" for k in range(-500, 501)) + " vac"
+    code = main(["--n", "1001", "--state", src, "--samples", "20",
+                 "--out", str(tmp_path / "t.svg")])
+    assert code == 2
+    assert "numeric error: every sampled wavefunction value is zero" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

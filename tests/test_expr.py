@@ -14,6 +14,7 @@ from qchain.expr import (
     Sum,
     Vac,
     build_state,
+    creator_state,
     evaluate_expr,
     parse_state_expr,
     pretty,
@@ -175,3 +176,12 @@ def test_evaluate_numeric_literals():
     assert st1.terms == {(0, 0, 0): 0.25 + 0.0j}
     st2 = evaluate_expr(parse_state_expr("-0.5i vac", 3), p)
     assert st2.terms == {(0, 0, 0): -0.5j}
+
+
+def test_products_of_operator_sums_merge_reordered_monomials():
+    # creators commute, so (a[1] a[2] + a[-1])^20 has 21 monomials, not 2^20
+    src = " ".join(["(a[1] a[2] + a[-1])"] * 20) + " vac"
+    state = creator_state(parse_state_expr(src, 5), ChainParams(n_sites=5))
+    assert state.vectors.shape == (3, 5)
+    assert {mult: c for c, mult in state.monomials} == {
+        (k, k, 20 - k): math.comb(20, k) for k in range(21)}
