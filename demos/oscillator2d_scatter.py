@@ -10,7 +10,7 @@ import numpy as np
 from qchain import RenderSpec, render_scatter2d, sample_oscillator2d
 
 nu1, nu2 = 2, 1
-spec = RenderSpec(sample_count=8000, window=6.0, seed=0, mode="scatter2d")
+spec = RenderSpec(sample_count=8000, window=6.0, seed=0)
 batch = sample_oscillator2d(nu1, nu2, mass=1.0, kappa=1.0, spec=spec)
 
 svg = render_scatter2d(batch)

@@ -47,12 +47,10 @@ from .sampling import (
 )
 from .wavefunction import (
     CreatorState,
-    eigenfunction_1d,
     evaluate,
     evaluate_batch,
     evaluate_oscillator2d,
     hamiltonian_residual,
-    hermite_phys,
 )
 
 __version__ = "0.1.0"
@@ -77,8 +75,6 @@ __all__ = [
     "norm",
     "energy_eigenvalue",
     "dump_state",
-    "hermite_phys",
-    "eigenfunction_1d",
     "CreatorState",
     "evaluate",
     "evaluate_batch",

@@ -206,7 +206,6 @@ def main(argv=None) -> int:
             sample_count=_default(args.samples, 20000),
             window=window,
             seed=_default(args.seed, 0),
-            mode="scatter2d" if args.mode2d else "parallel_axes",
             color_mode=_default(args.color_mode, "diverging_real"),
             width=_default(args.width, 900),
             height=_default(args.height, 560),

@@ -28,7 +28,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .sampling import SampleBatch
+from .sampling import RNG_ID, SampleBatch
 
 __all__ = [
     "diverging_color",
@@ -129,11 +129,12 @@ def _text(x, y, body, size: int = 11, anchor: str = "", fill: str = LABEL_COLOR)
     return f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}"{end}>{body}</text>'
 
 
-def _chart(batch: SampleBatch, label: str):
+def _chart(batch: SampleBatch, chart: str):
     """Document head and plot geometry shared by both chart types; rejects a bad batch.
 
-    Returns the opening SVG lines, the plot-area width and height, and the maps
-    from a coordinate in [-window, window] to its x and y pixel.
+    ``chart`` is the chart type written into the metadata.  Returns the
+    opening SVG lines, the plot-area width and height, and the maps from a
+    coordinate in [-window, window] to its x and y pixel.
     """
     if batch.points.shape[0] == 0:
         raise ValueError("cannot render an empty batch")
@@ -141,10 +142,10 @@ def _chart(batch: SampleBatch, label: str):
         raise ValueError("batch contains non-finite coordinates or values")
     spec = batch.spec
     meta = (
-        f"tool={TOOL_ID}; rng=numpy-PCG64; seed={spec.seed}; "
+        f"tool={TOOL_ID}; rng={RNG_ID}; seed={spec.seed}; "
         f"samples={spec.sample_count}; window={spec.window:.17g}; "
-        f"n_dims={batch.n_dims}; mode={spec.mode}; color_mode={spec.color_mode}; "
-        f"state={label}"
+        f"n_dims={batch.n_dims}; mode={chart}; color_mode={spec.color_mode}; "
+        f"state={batch.state_label}"
     )
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -182,16 +183,15 @@ def _elements(template: str, batch: SampleBatch, coords) -> list[str]:
     return [template % (idx, *row, color) for idx, row, color in rows]
 
 
-def render_parallel_axes(batch: SampleBatch, state_label: str = "") -> str:
+def render_parallel_axes(batch: SampleBatch) -> str:
     """Parallel-axes chart: one polyline per sample across N site axes.
 
     The x axis is the site index 1..N, the y axis the coordinate value over
     [-window, window].  Returns the SVG document as a string.
     """
     n = batch.n_dims
-    label = state_label or batch.state_label
     win = batch.spec.window
-    parts, plot_w, plot_h, _, y_pix = _chart(batch, label)
+    parts, plot_w, plot_h, _, y_pix = _chart(batch, "parallel_axes")
     if n > 1:
         xs = _LEFT + plot_w * np.arange(n) / (n - 1)
     else:
@@ -214,7 +214,7 @@ def render_parallel_axes(batch: SampleBatch, state_label: str = "") -> str:
             parts.append(_text(f"{x:.2f}", _TOP + plot_h + 16, j + 1, anchor="middle"))
     for q, tick_y in ((win, _TOP), (0.0, zero_y), (-win, _TOP + plot_h)):
         parts.append(_text(_LEFT - 8, f"{tick_y + 4:.2f}", f"{q:.3g}", anchor="end"))
-    parts += _titles(plot_w, plot_h, "site n", "q", label)
+    parts += _titles(plot_w, plot_h, "site n", "q", batch.state_label)
 
     points = " ".join(f"{x:.2f},%.2f" for x in xs)
     template = f'<polyline id="s%d" points="{points}" fill="none" stroke="%s" stroke-width="1"/>'
@@ -228,7 +228,7 @@ def render_scatter2d(batch: SampleBatch) -> str:
     if batch.n_dims != 2:
         raise ValueError(f"scatter rendering requires 2 dimensions, got {batch.n_dims}")
     win = batch.spec.window
-    parts, plot_w, plot_h, x_pix, y_pix = _chart(batch, batch.state_label)
+    parts, plot_w, plot_h, x_pix, y_pix = _chart(batch, "scatter2d")
 
     parts.append(
         f'<rect x="{_LEFT}" y="{_TOP}" width="{plot_w}" height="{plot_h}" '

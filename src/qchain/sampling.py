@@ -31,7 +31,6 @@ __all__ = [
 
 RNG_ID = "numpy-PCG64"
 
-MODES = ("parallel_axes", "scatter2d")
 COLOR_MODES = ("diverging_real", "phase_hue")
 
 
@@ -40,14 +39,13 @@ class RenderSpec:
     """Sampling and rendering parameters for one figure.
 
     ``window`` is the half-width L of the sampling hypercube.  ``seed`` feeds
-    the deterministic generator.  ``mode`` picks the chart type (scatter
-    requires two dimensions); ``color_mode`` picks the value-to-color map.
+    the deterministic generator.  ``color_mode`` picks the value-to-color
+    map; the chart type follows from the renderer.
     """
 
     sample_count: int = 20000
     window: float = 3.0
     seed: int = 0
-    mode: str = "parallel_axes"
     color_mode: str = "diverging_real"
     width: int = 900
     height: int = 560
@@ -59,8 +57,6 @@ class RenderSpec:
             raise ValueError(f"window must be positive, got {self.window}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.color_mode not in COLOR_MODES:
             raise ValueError(f"color_mode must be one of {COLOR_MODES}, got {self.color_mode!r}")
         if self.width < 1 or self.height < 1:
@@ -138,9 +134,10 @@ def dump_samples(batch: SampleBatch) -> str:
     digits (lossless for doubles).  Byte-deterministic for fixed inputs.
     """
     spec = batch.spec
+    chart = "scatter2d" if batch.n_dims == 2 else "parallel_axes"  # N is odd for a chain
     header = (
         f"# qchain-samples v1, n_dims={batch.n_dims}, samples={spec.sample_count}, "
-        f"seed={spec.seed}, window={_fmt(spec.window)}, mode={spec.mode}, "
+        f"seed={spec.seed}, window={_fmt(spec.window)}, mode={chart}, "
         f"color_mode={spec.color_mode}, width={spec.width}, height={spec.height}, "
         f"rng={RNG_ID}, state={batch.state_label}"
     )
@@ -167,12 +164,13 @@ def load_samples(text: str) -> SampleBatch:
     for part in head.split(", "):
         key, _, value = part.partition("=")
         meta[key] = value
+    if meta["mode"] not in ("parallel_axes", "scatter2d"):
+        raise ValueError(f"unknown chart type {meta['mode']!r} in the sample table header")
     n_dims = int(meta["n_dims"])
     spec = RenderSpec(
         sample_count=int(meta["samples"]),
         window=float(meta["window"]),
         seed=int(meta["seed"]),
-        mode=meta["mode"],
         color_mode=meta["color_mode"],
         width=int(meta["width"]),
         height=int(meta["height"]),

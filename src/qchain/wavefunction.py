@@ -8,7 +8,9 @@ linear forms L_j = sqrt(2) c_j.y with pair contractions c_i.c_j (Wick, Phys.
 Rev. 80, 268, 1950).  It is computed divided by sqrt(prod_j m_j!), which keeps
 it O(1); a FockState term |nu> is that quotient for unit vectors.  The vacuum
 psi0 is summed in log space and exponentiated once per sample; values below
-the smallest double still underflow to zero.
+the smallest double still underflow to zero.  The 2D oscillator eigenstate
+(nu1, nu2) is the same sum over two modes: two unit creators, applied nu1
+and nu2 times.
 
 All functions here are pure; evaluation can fan out over a shared immutable
 basis and state from any number of workers.
@@ -26,59 +28,11 @@ from .fock import FockState, energy_eigenvalue
 
 __all__ = [
     "CreatorState",
-    "hermite_phys",
-    "eigenfunction_1d",
     "evaluate",
     "evaluate_batch",
     "evaluate_oscillator2d",
     "hamiltonian_residual",
 ]
-
-
-def hermite_phys(order: int, x):
-    """Physicists' Hermite polynomial H_order(x), by the standard recurrence.
-
-    H_0 = 1, H_1 = 2x, H_{j+1}(x) = 2x H_j(x) - 2j H_{j-1}(x).  Accepts a
-    scalar or an array.  Values grow like (2x)^order; callers needing large
-    orders at large arguments should work with the normalized eigenfunctions
-    instead.
-    """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if order == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = 2.0 * x
-    for j in range(1, order):
-        h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * j * h_prev
-    return h_cur if h_cur.ndim else float(h_cur)
-
-
-def eigenfunction_1d(order: int, omega_ang: float, mass: float, x):
-    """Normalized 1D harmonic-oscillator eigenfunction.
-
-    phi_order(x) = (m*Omega/pi)^(1/4) (2^order order!)^(-1/2)
-                   H_order(sqrt(m*Omega) x) exp(-m*Omega x^2 / 2)
-
-    in hbar = 1 units, where Omega is the angular frequency.  Integrates to
-    one in the square and solves the 1D oscillator with energy
-    Omega*(order + 1/2).  The normalization is computed through log-gamma so
-    moderate-to-large orders do not overflow.
-    """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    if not omega_ang > 0:
-        raise ValueError(f"angular frequency must be positive, got {omega_ang}")
-    if not mass > 0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    inv_len_sq = mass * omega_ang  # inverse squared oscillator length
-    log_norm = 0.25 * math.log(inv_len_sq / math.pi) - 0.5 * (
-        order * math.log(2.0) + math.lgamma(order + 1)
-    )
-    y = math.sqrt(inv_len_sq) * np.asarray(x, dtype=float)
-    vals = hermite_phys(order, y) * np.exp(log_norm - 0.5 * y * y)
-    return vals if np.ndim(vals) else float(vals)
 
 
 @dataclass(frozen=True)
@@ -160,8 +114,12 @@ def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
 
     normal = points @ basis.basis  # normal coordinates, row per sample
     scale = np.sqrt(basis.params.mass * basis.frequencies)
-    y = normal * scale  # dimensionless mode coordinates
+    return _wick_sum(vectors, terms, normal * scale, scale)
 
+
+def _wick_sum(vectors, terms, y, scale) -> np.ndarray:
+    """psi0(y) * sum of weight * W(m) over ``terms`` at the dimensionless mode
+    coordinates ``y`` (row per sample); ``scale`` is sqrt(m*Omega) per mode."""
     # Vacuum envelope: Gaussians and normalization prefactors.
     log_env = 0.25 * float(np.sum(np.log(scale * scale / np.pi))) - 0.5 * np.sum(
         y * y, axis=1
@@ -173,12 +131,12 @@ def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
         weights = [w.real for w in weights]  # real creators and weights: real arithmetic
     lin = math.sqrt(2.0) * (vectors @ y.T)  # L_j, one row per creator
     gram = vectors @ vectors.T
-    vac = {(0,) * len(vectors): np.ones(points.shape[0])}
+    vac = {(0,) * len(vectors): np.ones(y.shape[0])}
     acc = sum(w * _wick_power(lin, gram, mult, dict(vac)) for w, (_, mult) in zip(weights, terms))
     return (acc * envelope).astype(complex)
 
 
-def evaluate(state: FockState, basis: ModeBasis, q) -> complex:
+def evaluate(state: CreatorState | FockState, basis: ModeBasis, q) -> complex:
     """Wavefunction value of ``state`` at a single configuration q."""
     q = np.asarray(q, dtype=float)
     n = basis.params.n_sites
@@ -192,18 +150,19 @@ def evaluate_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float, points)
 
     Product of two normalized 1D eigenfunctions with the common angular
     frequency sqrt(kappa/mass), orders nu1 along the first coordinate and
-    nu2 along the second.
+    nu2 along the second: the creators are the two unit vectors, applied
+    nu1 and nu2 times.
     """
     if nu1 < 0 or nu2 < 0:
         raise ValueError("quantum numbers must be non-negative")
-    omega_ang = math.sqrt(kappa / mass)
+    if not (mass > 0 and kappa > 0):
+        raise ValueError(f"mass and kappa must be positive, got {mass} and {kappa}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != 2:
+    if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"expected points of shape (M, 2), got {points.shape}")
-    vals = eigenfunction_1d(nu1, omega_ang, mass, points[:, 0]) * eigenfunction_1d(
-        nu2, omega_ang, mass, points[:, 1]
-    )
-    return np.asarray(vals, dtype=complex)
+    omega_ang = math.sqrt(kappa / mass)
+    scale = np.full(2, math.sqrt(mass * omega_ang))
+    return _wick_sum(np.eye(2), [(1.0, (nu1, nu2))], points * scale, scale)
 
 
 def hamiltonian_residual(state: FockState, basis: ModeBasis, q, h: float | None = None,

@@ -189,7 +189,7 @@ def test_criterion_07_hamiltonian_residual_all_two_quantum_states():
 
 def test_criterion_08_monte_carlo_normalization():
     # 2D oscillator, sigma = 1: integrate |psi|^2 over the +-6 sigma box
-    spec = RenderSpec(sample_count=1_000_000, window=6.0, seed=1, mode="scatter2d")
+    spec = RenderSpec(sample_count=1_000_000, window=6.0, seed=1)
     pts = draw_samples(spec, 2)
     volume = (2.0 * 6.0) ** 2
     results = {}

@@ -70,6 +70,18 @@ def test_mode2d_preset(tmp_path):
     assert "state=oscillator2d nu=(2,1)" in text
 
 
+def test_mode2d_high_order_draws(tmp_path, capsys):
+    # H_300 overflows a double at the window's edge; the normalized Wick
+    # power stays finite, so the figure is drawn instead of exiting 2
+    out, table = tmp_path / "high.svg", tmp_path / "high.csv"
+    code = main(["--mode2d", "--nu1", "300", "--nu2", "1", "--out", str(out),
+                 "--dump-samples", str(table)])
+    assert code == 0, capsys.readouterr().err
+    assert out.read_text().count("<circle") == 20000
+    values = load_samples(table.read_text()).values
+    assert np.all(np.isfinite(values)) and np.any(values)
+
+
 def test_default_output_names(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["fig2", "--samples", "10"]) == 0

@@ -19,16 +19,22 @@ from qchain.render import (
     render_parallel_axes,
     render_scatter2d,
 )
-from qchain.sampling import RenderSpec, SampleBatch, sample_chain_state, sample_oscillator2d
+from qchain.sampling import (
+    RenderSpec,
+    SampleBatch,
+    dump_samples,
+    sample_chain_state,
+    sample_oscillator2d,
+)
 
 
-def _make_batch(values, window=3.0, color_mode="diverging_real", n_dims=3):
+def _make_batch(values, window=3.0, color_mode="diverging_real", n_dims=3, label="test"):
     values = np.asarray(values, dtype=complex)
     m = len(values)
     rng = np.random.default_rng(1)
     points = rng.uniform(-window, window, size=(m, n_dims))
     spec = RenderSpec(sample_count=m, window=window, color_mode=color_mode)
-    return SampleBatch(points=points, values=values, spec=spec, state_label="test")
+    return SampleBatch(points=points, values=values, spec=spec, state_label=label)
 
 
 def test_diverging_color_endpoints():
@@ -92,8 +98,8 @@ def test_parallel_axes_draw_order_and_colors():
 
 
 def test_svg_structure_and_metadata():
-    batch = _make_batch([1.0, -1.0], n_dims=4)
-    svg = render_parallel_axes(batch, state_label="a[0] vac")
+    batch = _make_batch([1.0, -1.0], n_dims=4, label="a[0] vac")
+    svg = render_parallel_axes(batch)
     assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>\n<svg ')
     assert svg.endswith("</svg>\n")
     meta = re.search(r"<metadata>(.*)</metadata>", svg).group(1)
@@ -130,7 +136,7 @@ def test_scatter_requires_two_dims():
 
 
 def test_scatter_chart_elements():
-    spec = RenderSpec(sample_count=25, window=3.0, seed=4, mode="scatter2d")
+    spec = RenderSpec(sample_count=25, window=3.0, seed=4)
     batch = sample_oscillator2d(1, 0, 1.0, 1.0, spec)
     svg = render_scatter2d(batch)
     ids = _element_ids(svg, "circle")
@@ -138,6 +144,16 @@ def test_scatter_chart_elements():
     mags = np.abs(batch.values)
     assert ids == sorted(range(25), key=lambda i: mags[i])
     assert "state=oscillator2d nu=(1,0)" in svg
+
+
+def test_charts_and_tables_record_their_chart_type():
+    # the chart type comes from the renderer (and, for a table, from n_dims),
+    # whatever figure the batch was drawn for
+    batch = sample_oscillator2d(2, 1, 1.0, 1.0, RenderSpec(sample_count=5))
+    assert "; mode=scatter2d;" in render_scatter2d(batch)
+    assert "; mode=parallel_axes;" in render_parallel_axes(batch)
+    assert ", mode=scatter2d," in dump_samples(batch)
+    assert ", mode=parallel_axes," in dump_samples(_make_batch([1.0, -1.0]))
 
 
 def test_render_rejects_bad_batches():
@@ -169,6 +185,8 @@ def test_phase_mode_uses_complex_magnitude():
 
 # SHA-256 of the SVGs written by the per-vertex, per-sample renderer that the
 # bulk renderer replaced; the bulk renderer must reproduce them byte for byte.
+# The two *_2d cases were written by the Hermite-recurrence 2D evaluator that
+# the Wick evaluator replaced.
 GOLDEN_SVG_SHA256 = {
     ("fig1", 0): "229193d2488f69d9cc4a257f0354fce56130ce58a135eaf6a34258e635879a56",
     ("fig1", 42): "3b2fb875ca42664f42ee3eb1e778d6ece8a9c4fd05cd53ef1f1310deb7630516",
@@ -188,17 +206,23 @@ GOLDEN_SVG_SHA256 = {
     ("fig8a", 42): "a4a20ca8130f27d41f1f6d40334a5f2e0a7f86d1b0b9b25ec7031fa26521b7f9",
     ("fig8b", 0): "2247d6e8ee256386e551c91182ae41c1323f031948209402ac46792b8eae4571",
     ("fig8b", 42): "fcaa5f6cceed416e179b18681e3f8f8469eb10b9c1d50d13223cd078e35002b7",
+    ("mass_kappa_2d", 0): "d9cb3d7aa0cfdff5be525d14203260bdca7a7f382b533d5788fcb77934ac8643",
+    ("phase_hue_2d", 0): "bc0618792628308b1a484afc522dbd5c33893b2c86d0111e4f492852c08bb79d",
     ("phase_hue", 0): "6eb9a5c8a23fdf30e9c1511b4aa6d89b57ac50ef2d13e62fe80426643bf36c7d",
     ("phase_hue", 42): "776f91d9a9f4cb1641fa4e0ff12d0a2d115c4b1795f0c58eb9334aecd5edd6ed",
 }
 
-PHASE_HUE_ARGS = ["--n", "15", "--state", "(a[1] + i a[-1]) vac", "--color-mode", "phase_hue"]
+NON_PRESET_ARGS = {
+    "phase_hue": ["--n", "15", "--state", "(a[1] + i a[-1]) vac", "--color-mode", "phase_hue"],
+    "mass_kappa_2d": ["--mode2d", "--nu1", "5", "--nu2", "3", "--mass", "2", "--kappa", "0.5"],
+    "phase_hue_2d": ["--mode2d", "--nu1", "1", "--nu2", "7", "--color-mode", "phase_hue"],
+}
 
 
 @pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
 def test_figures_byte_identical_to_golden(figure, seed, tmp_path, capsys):
     out = tmp_path / "figure.svg"
-    args = PHASE_HUE_ARGS if figure == "phase_hue" else [figure]
+    args = NON_PRESET_ARGS.get(figure, [figure])
     assert main(args + ["--seed", str(seed), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]

@@ -30,8 +30,6 @@ def test_render_spec_validation():
     with pytest.raises(ValueError):
         RenderSpec(seed=2**64)
     with pytest.raises(ValueError):
-        RenderSpec(mode="pie_chart")
-    with pytest.raises(ValueError):
         RenderSpec(color_mode="rainbow")
     with pytest.raises(ValueError):
         RenderSpec(width=0)
@@ -86,7 +84,7 @@ def test_sample_chain_state_shapes():
 
 
 def test_sample_oscillator2d_label_and_values():
-    spec = RenderSpec(sample_count=32, window=6.0, seed=3, mode="scatter2d")
+    spec = RenderSpec(sample_count=32, window=6.0, seed=3)
     batch = sample_oscillator2d(2, 1, 1.0, 1.0, spec)
     assert batch.state_label == "oscillator2d nu=(2,1)"
     ref = evaluate_oscillator2d(2, 1, 1.0, 1.0, batch.points)
@@ -145,6 +143,8 @@ def test_load_rejects_malformed_tables():
         load_samples("\n".join(broken) + "\n")  # column count mismatch
     with pytest.raises(ValueError):
         load_samples(good.replace("window=3", "window=0.1"))  # points outside window
+    with pytest.raises(ValueError):
+        load_samples(good.replace("mode=parallel_axes", "mode=pie_chart"))  # unknown chart
 
 
 def test_corner_amplitude_negligible_for_decoupled_small_chains():

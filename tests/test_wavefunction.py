@@ -14,50 +14,80 @@ from qchain.fock import FockState, apply_create, apply_create_local, linear_comb
 from qchain.sampling import RenderSpec, chain_window, draw_samples
 from qchain.wavefunction import (
     _wick_power,
-    eigenfunction_1d,
     evaluate,
     evaluate_batch,
     evaluate_oscillator2d,
     hamiltonian_residual,
-    hermite_phys,
 )
+
+# 2D oscillator at m = 1.5, kappa = 6: Omega = 2, m*Omega = 3
+MASS, KAPPA, M_OMEGA = 1.5, 6.0, 3.0
+
+
+def _phi(order, m_omega, x):
+    """Normalized 1D oscillator eigenfunction from scipy's Hermite polynomials."""
+    x = np.asarray(x, dtype=float)
+    y = math.sqrt(m_omega) * x
+    norm = (m_omega / math.pi) ** 0.25 / math.sqrt(2.0**order * math.factorial(order))
+    return norm * eval_hermite(order, y) * np.exp(-0.5 * y * y)
+
+
+def _on_q1_axis(order, x, mass=MASS, kappa=KAPPA):
+    """psi_(order, 0)(x, 0) of the 2D oscillator, for scalar or array x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return evaluate_oscillator2d(order, 0, mass, kappa, np.column_stack([x, np.zeros_like(x)]))
 
 
 def test_hermite_small_orders():
-    assert hermite_phys(0, 0.7) == 1.0
-    assert hermite_phys(1, 0.7) == pytest.approx(1.4)
-    assert hermite_phys(2, 1.0) == pytest.approx(2.0)  # 4x^2 - 2
-    assert hermite_phys(3, 0.0) == 0.0
+    # psi_(n,0)(x, 0) / psi_(0,0)(x, 0) = H_n(x) / sqrt(2^n n!) at m = kappa = 1
+    def ratio(order, x):
+        return (_on_q1_axis(order, x, 1.0, 1.0) / _on_q1_axis(0, x, 1.0, 1.0))[0].real
+
+    assert ratio(0, 0.7) == 1.0
+    assert ratio(1, 0.7) == pytest.approx(1.4 / math.sqrt(2.0))
+    assert ratio(2, 1.0) == pytest.approx(2.0 / math.sqrt(8.0))  # 4x^2 - 2
+    assert ratio(3, 0.0) == 0.0
 
 
 def test_hermite_matches_scipy():
     xs = np.linspace(-4.0, 4.0, 81)
     for order in range(0, 12):
-        ref = eval_hermite(order, xs)
-        got = hermite_phys(order, xs)
-        scale = np.maximum(1.0, np.abs(ref))
-        assert np.max(np.abs(got - ref) / scale) < 1e-10
+        ref = _phi(order, M_OMEGA, xs) * _phi(0, M_OMEGA, 0.0)
+        got = _on_q1_axis(order, xs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_eigenfunction_ground_state_value():
-    # phi_0(0) = (m*Omega/pi)^(1/4)
-    assert eigenfunction_1d(0, 1.0, 1.0, 0.0) == pytest.approx(math.pi ** -0.25)
-    assert eigenfunction_1d(0, 2.0, 1.5, 0.0) == pytest.approx((3.0 / math.pi) ** 0.25)
+    # psi_00(0, 0) = phi_0(0)^2 = (m*Omega/pi)^(1/2)
+    assert evaluate_oscillator2d(0, 0, 1.0, 1.0, np.zeros((1, 2)))[0] == pytest.approx(
+        math.pi ** -0.5)
+    assert evaluate_oscillator2d(0, 0, MASS, KAPPA, np.zeros((1, 2)))[0] == pytest.approx(
+        (M_OMEGA / math.pi) ** 0.5)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 4, 6])
 def test_eigenfunction_normalized(order):
-    total, _ = quad(lambda x: eigenfunction_1d(order, 2.0, 1.5, x) ** 2, -np.inf, np.inf)
-    assert total == pytest.approx(1.0, abs=1e-8)
+    # along q2 = 0 the integral of |psi_(order,0)|^2 is phi_0(0)^2 = sqrt(m*Omega/pi)
+    total, _ = quad(lambda x: abs(_on_q1_axis(order, x)[0]) ** 2, -np.inf, np.inf)
+    assert total / math.sqrt(M_OMEGA / math.pi) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_eigenfunction_orthogonal():
-    val, _ = quad(
-        lambda x: eigenfunction_1d(0, 1.0, 1.0, x) * eigenfunction_1d(2, 1.0, 1.0, x),
-        -np.inf,
-        np.inf,
-    )
+    val, _ = quad(lambda x: (_on_q1_axis(0, x) * _on_q1_axis(2, x))[0].real, -np.inf, np.inf)
     assert abs(val) < 1e-10
+
+
+@pytest.mark.parametrize("order", [150, 300, 400])
+def test_oscillator2d_normalized_at_high_order(order):
+    # H_order overflows a double long before order 300; the normalized Wick
+    # power does not.  The grid covers 8 oscillator lengths past the turning
+    # point, beyond which |psi|^2 is far below the tolerance.
+    edge = (math.sqrt(2.0 * order + 1.0) + 8.0) / math.sqrt(M_OMEGA)
+    xs, h = np.linspace(-edge, edge, 20001, retstep=True)
+    vals = _on_q1_axis(order, xs)
+    assert np.all(np.isfinite(vals))
+    total = float(np.sum(np.abs(vals) ** 2)) * h
+    assert abs(total - math.sqrt(M_OMEGA / math.pi)) <= 1e-10
 
 
 def test_vacuum_value_and_batch_consistency():
@@ -150,7 +180,7 @@ def test_deep_tail_matches_factorized_reference():
     val = evaluate(v, basis, q)
     ref = 1.0
     for _ in range(31):
-        ref *= eigenfunction_1d(0, 1.0, 1.0, 5.0)
+        ref *= math.pi**-0.25 * math.exp(-12.5)  # ground state of one site at q = 5
     assert val.real > 0.0
     assert val.real == pytest.approx(ref, rel=1e-10)
     assert val.real < 1e-150  # genuinely deep in the tail
@@ -159,12 +189,15 @@ def test_deep_tail_matches_factorized_reference():
 def test_oscillator2d_values():
     pts = np.array([[0.0, 0.0], [1.0, 0.5], [-0.3, 2.0]])
     got = evaluate_oscillator2d(2, 1, 1.0, 1.0, pts)
-    ref = eigenfunction_1d(2, 1.0, 1.0, pts[:, 0]) * eigenfunction_1d(1, 1.0, 1.0, pts[:, 1])
+    ref = _phi(2, 1.0, pts[:, 0]) * _phi(1, 1.0, pts[:, 1])
     assert np.allclose(got, ref, rtol=1e-14)
     with pytest.raises(ValueError):
         evaluate_oscillator2d(-1, 0, 1.0, 1.0, pts)
     with pytest.raises(ValueError):
         evaluate_oscillator2d(0, 0, 1.0, 1.0, np.zeros((3, 4)))
+    for mass, kappa in ((0.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        with pytest.raises(ValueError):
+            evaluate_oscillator2d(0, 0, mass, kappa, pts)
 
 
 def test_empty_state_evaluates_to_zero():
@@ -328,7 +361,7 @@ def test_repeated_creator_memo_stays_linear():
     memo = {(0,): np.ones_like(y)}
     got = _wick_power(math.sqrt(2.0) * y[None, :], np.ones((1, 1)), (12,), memo)
     assert len(memo) == 13
-    ref = hermite_phys(12, y) / math.sqrt(2.0**12 * math.factorial(12))
+    ref = eval_hermite(12, y) / math.sqrt(2.0**12 * math.factorial(12))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
