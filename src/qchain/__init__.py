@@ -12,19 +12,17 @@ from .chain import (
     ChainParams,
     ModeBasis,
     build_coupling_matrix,
-    dump_basis,
-    from_normal_coords,
     mode_indices,
     mode_profile,
     mode_spectrum,
     real_mode_basis,
-    to_normal_coords,
 )
 from .expr import StateExprError, build_state, creator_state, parse_state_expr, pretty
 from .fock import (
     FockState,
     apply_create,
     apply_create_local,
+    apply_creator,
     dump_state,
     energy_eigenvalue,
     inner_product,
@@ -63,11 +61,9 @@ __all__ = [
     "mode_profile",
     "mode_spectrum",
     "real_mode_basis",
-    "to_normal_coords",
-    "from_normal_coords",
-    "dump_basis",
     "FockState",
     "vacuum",
+    "apply_creator",
     "apply_create",
     "apply_create_local",
     "linear_combine",

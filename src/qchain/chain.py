@@ -34,9 +34,6 @@ __all__ = [
     "build_coupling_matrix",
     "mode_spectrum",
     "real_mode_basis",
-    "to_normal_coords",
-    "from_normal_coords",
-    "dump_basis",
 ]
 
 
@@ -157,29 +154,3 @@ def real_mode_basis(params: ChainParams) -> ModeBasis:
         arr.setflags(write=False)
     return ModeBasis(params=params, omegas=omegas, basis=basis, frequencies=frequencies)
 
-
-def to_normal_coords(basis: ModeBasis, q) -> np.ndarray:
-    """Transform site coordinates q to normal coordinates (one per wave number)."""
-    q = np.asarray(q, dtype=float)
-    n = basis.params.n_sites
-    if q.shape != (n,):
-        raise ValueError(f"expected a length-{n} coordinate vector, got shape {q.shape}")
-    return basis.basis.T @ q
-
-
-def from_normal_coords(basis: ModeBasis, normal) -> np.ndarray:
-    """Inverse of :func:`to_normal_coords`: site coordinates from normal ones."""
-    normal = np.asarray(normal, dtype=float)
-    n = basis.params.n_sites
-    if normal.shape != (n,):
-        raise ValueError(f"expected a length-{n} coordinate vector, got shape {normal.shape}")
-    return basis.basis @ normal
-
-
-def dump_basis(basis: ModeBasis) -> str:
-    """Plain-text dump of the basis matrix: row-major, 17 significant digits.
-
-    Debugging aid; not a stability-guaranteed format.
-    """
-    lines = [" ".join(f"{v:.17g}" for v in row) for row in basis.basis]
-    return "\n".join(lines) + "\n"

@@ -69,42 +69,30 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("preset", nargs="?", choices=sorted(PRESETS),
                         help="figure preset; explicit flags override its values")
     parser.add_argument("--n", type=int, help="number of chain sites (odd)")
-    parser.add_argument("--mass", type=float, help="site mass m (default 1)")
-    parser.add_argument("--kappa", type=float, help="on-site stiffness (default 1)")
-    parser.add_argument("--gamma", type=float, help="neighbor coupling (default 1)")
+    parser.add_argument("--mass", type=float, default=1.0, help="site mass m (default 1)")
+    parser.add_argument("--kappa", type=float, default=1.0, help="on-site stiffness (default 1)")
+    parser.add_argument("--gamma", type=float, default=1.0, help="neighbor coupling (default 1)")
     parser.add_argument("--state", help="state expression, e.g. 'a[0] a[0] vac'")
-    parser.add_argument("--samples", type=int, help="number of sample points (default 20000)")
+    parser.add_argument("--samples", type=int, default=20000,
+                        help="number of sample points (default 20000)")
     parser.add_argument("--window", type=float,
                         help="half-width of the sampling box (default from the spectrum)")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument("--out", help="output graphic path (default <preset>.svg)")
     parser.add_argument("--dump-samples", metavar="PATH",
                         help="also write the sample table to PATH")
     parser.add_argument("--dump-state", metavar="PATH",
                         help="also write the state's occupation terms to PATH")
-    parser.add_argument("--color-mode", choices=COLOR_MODES,
+    parser.add_argument("--color-mode", choices=COLOR_MODES, default="diverging_real",
                         help="diverging_real (default) or phase_hue")
     parser.add_argument("--mode2d", action="store_true",
                         help="render a 2D oscillator eigenstate instead of a chain")
     parser.add_argument("--nu1", type=int, help="first 2D quantum number (default 0)")
     parser.add_argument("--nu2", type=int, help="second 2D quantum number (default 0)")
-    parser.add_argument("--width", type=int, help="graphic width in px (default 900)")
-    parser.add_argument("--height", type=int, help="graphic height in px (default 560)")
+    parser.add_argument("--width", type=int, default=900, help="graphic width in px (default 900)")
+    parser.add_argument("--height", type=int, default=560,
+                        help="graphic height in px (default 560)")
     return parser
-
-
-def _apply_preset(args: argparse.Namespace):
-    if args.preset is None:
-        return
-    for key, value in PRESETS[args.preset].items():
-        if key == "mode2d":
-            args.mode2d = args.mode2d or value
-        elif getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _default(value, fallback):
-    return fallback if value is None else value
 
 
 def _write_atomic(path: str, text: str):
@@ -167,14 +155,11 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
+        if args.preset is not None:  # explicit flags still override the preset
+            parser.set_defaults(**PRESETS[args.preset])
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    _apply_preset(args)
-
-    mass = _default(args.mass, 1.0)
-    kappa = _default(args.kappa, 1.0)
-    gamma = _default(args.gamma, 1.0)
 
     try:
         if args.mode2d:
@@ -182,15 +167,13 @@ def main(argv=None) -> int:
                 raise ValueError("--mode2d takes --nu1/--nu2, not --n or --state")
             if args.dump_state is not None:
                 raise ValueError("--dump-state applies only to chain states")
-            nu1 = _default(args.nu1, 0)
-            nu2 = _default(args.nu2, 0)
+            nu1, nu2 = (0 if nu is None else nu for nu in (args.nu1, args.nu2))
             if nu1 < 0 or nu2 < 0:
                 raise ValueError(f"quantum numbers must be >= 0, got ({nu1}, {nu2})")
-            if mass <= 0 or kappa <= 0:
+            if args.mass <= 0 or args.kappa <= 0:
                 raise ValueError("mass and kappa must be positive")
-            window = _default(args.window,
-                              default_window([math.sqrt(kappa / mass)], mass))
-            default_out = "oscillator2d.svg"
+            window = default_window([math.sqrt(args.kappa / args.mass)], args.mass)
+            default_out = f"{args.preset or 'oscillator2d'}.svg"
         else:
             if args.nu1 is not None or args.nu2 is not None:
                 raise ValueError("--nu1/--nu2 require --mode2d")
@@ -198,26 +181,26 @@ def main(argv=None) -> int:
                 raise ValueError("--n is required (or use a preset)")
             if args.state is None:
                 raise ValueError("--state is required (or use a preset)")
-            chain = ChainParams(n_sites=args.n, mass=mass, kappa=kappa, gamma=gamma)
+            chain = ChainParams(n_sites=args.n, mass=args.mass, kappa=args.kappa, gamma=args.gamma)
             ast = parse_state_expr(args.state, chain.n_sites)
-            window = _default(args.window, chain_window(real_mode_basis(chain)))
-            default_out = "chain.svg"
+            window = chain_window(real_mode_basis(chain))
+            default_out = f"{args.preset or 'chain'}.svg"
         spec = RenderSpec(
-            sample_count=_default(args.samples, 20000),
-            window=window,
-            seed=_default(args.seed, 0),
-            color_mode=_default(args.color_mode, "diverging_real"),
-            width=_default(args.width, 900),
-            height=_default(args.height, 560),
+            sample_count=args.samples,
+            window=window if args.window is None else args.window,
+            seed=args.seed,
+            color_mode=args.color_mode,
+            width=args.width,
+            height=args.height,
         )
-        out = _default(args.out, f"{args.preset}.svg" if args.preset else default_out)
+        out = default_out if args.out is None else args.out
     except (StateExprError, ValueError) as exc:
         print(f"qchain: error: {exc}", file=sys.stderr)
         return 1
 
     try:
         if args.mode2d:
-            return run_oscillator2d(nu1, nu2, mass, kappa, spec, out,
+            return run_oscillator2d(nu1, nu2, args.mass, args.kappa, spec, out,
                                     samples_path=args.dump_samples)
         return run(chain, ast, spec, out, samples_path=args.dump_samples,
                    state_dump_path=args.dump_state)

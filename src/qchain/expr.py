@@ -17,8 +17,9 @@ ultimately apply its operators to ``vac``.
 
 Parsing reports syntax errors, out-of-range indices, and type errors (for
 instance adding a scalar to a state) with a character position.  One walk
-of the tree gives :func:`creator_state` (creator vectors, what evaluation
-uses) and :func:`evaluate_expr` (occupation-number terms).
+of the tree gives :func:`creator_state`: creator vectors in mode space and
+monomials over them, what evaluation uses.  :func:`evaluate_expr` expands
+that creator form into occupation-number terms.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainParams, mode_profile
-from .fock import FockState, apply_create, apply_create_local, linear_combine, vacuum
+from .fock import FockState, apply_creator, linear_combine, vacuum
 from .wavefunction import CreatorState
 
 __all__ = [
@@ -362,26 +363,6 @@ def pretty(node) -> str:
 # --- evaluation ------------------------------------------------------------
 
 
-def _apply(creator, state: FockState) -> FockState:
-    kind, arg = creator
-    if kind == "a":
-        return apply_create(state, arg)
-    if kind == "b":
-        return apply_create_local(state, arg)
-    return linear_combine([(coeff, _apply(term, state)) for coeff, term in arg])
-
-
-def evaluate_expr(node, params: ChainParams) -> FockState:
-    """Evaluate a parsed expression to the occupation-number state it denotes."""
-    pairs = []
-    for mono, coeff in _state_poly(node, params).items():
-        state = vacuum(params)
-        for creator in reversed(mono):
-            state = _apply(creator, state)
-        pairs.append((coeff, state))
-    return linear_combine(pairs) if pairs else FockState(params, {})
-
-
 def _vector(creator, n_sites: int) -> np.ndarray:
     kind, arg = creator
     if kind == "a":
@@ -405,6 +386,22 @@ def creator_state(node, params: ChainParams) -> CreatorState:
     monomials = tuple((c, tuple(count[k] for k in used)) for c, count in counts)
     return CreatorState(params, vectors if np.any(vectors.imag) else vectors.real.copy(),
                         monomials)
+
+
+def evaluate_expr(node, params: ChainParams) -> FockState:
+    """Expand a parsed expression's creator form into occupation-number terms.
+
+    Each monomial applies its creator vectors to ``vac``, last row first.
+    """
+    state = creator_state(node, params)
+    pairs = []
+    for coeff, mult in state.monomials:
+        fock = vacuum(params)
+        for vector, m in reversed(list(zip(state.vectors, mult))):
+            for _ in range(m):
+                fock = apply_creator(fock, vector)
+        pairs.append((coeff, fock))
+    return linear_combine(pairs) if pairs else FockState(params, {})
 
 
 def build_state(src: str, params: ChainParams):

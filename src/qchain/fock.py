@@ -2,9 +2,11 @@
 
 A state is a finite complex-linear combination of occupation-number basis
 states.  Each basis state is a tuple of quantum numbers, one per wave number
-in the canonical mode order, and the basis is orthonormal.  Creation acts
-with the normalized ladder convention (factor sqrt(nu+1)), so norms and
-inner products are meaningful.
+in the canonical mode order, and the basis is orthonormal.  Every creator is
+a vector c in mode space, the operator sum_k c_k a^+_k: ``a[k]`` is the unit
+vector of mode k and ``b[n]`` the mode profile at site n.  One kernel,
+:func:`apply_creator`, applies any such vector with the normalized ladder
+convention (factor sqrt(nu+1)), so norms and inner products are meaningful.
 
 States are immutable; every operation returns a new state.
 """
@@ -21,6 +23,7 @@ from .chain import ChainParams, ModeBasis, mode_profile
 __all__ = [
     "FockState",
     "vacuum",
+    "apply_creator",
     "apply_create",
     "apply_create_local",
     "linear_combine",
@@ -54,47 +57,46 @@ def vacuum(params: ChainParams) -> FockState:
     return FockState(params, {(0,) * params.n_sites: 1.0 + 0.0j})
 
 
-def apply_create(state: FockState, k: int) -> FockState:
-    """Raise the occupation of wave-number mode k on every term.
+def apply_creator(state: FockState, vector) -> FockState:
+    """Apply the creator sum_k vector[k] a^+_k, a vector in mode space.
 
-    Each amplitude picks up the ladder factor sqrt(nu_k + 1), so creation on
-    a normalized eigenstate yields a normalized eigenstate.
+    Each term fans out into one term per non-zero slot, with the ladder factor
+    sqrt(nu_k + 1), so creation on a normalized eigenstate yields a normalized
+    eigenstate.  Terms that cancel exactly are pruned.
     """
+    vector, n_sites = np.asarray(vector), state.params.n_sites
+    if vector.shape != (n_sites,):
+        raise ValueError(f"creator vector must have shape ({n_sites},), got {vector.shape}")
+    weights = [(slot, vector[slot].item()) for slot in np.flatnonzero(vector).tolist()]
+    out = {}
+    for occ, amp in state.terms.items():
+        for slot, weight in weights:
+            nu = occ[slot]
+            raised = occ[:slot] + (nu + 1,) + occ[slot + 1 :]
+            contrib = weight * amp * math.sqrt(nu + 1)
+            out[raised] = out.get(raised, 0.0 + 0.0j) + contrib
+    out = {occ: amp for occ, amp in out.items() if amp != 0}
+    return FockState(state.params, out)
+
+
+def apply_create(state: FockState, k: int) -> FockState:
+    """Raise the occupation of wave-number mode k on every term."""
     h = state.params.max_wavenumber
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"wave number must be an integer, got {k!r}")
     if not -h <= k <= h:
         raise ValueError(f"wave number {k} out of range -{h}..{h}")
-    slot = int(k) + h
-    out = {}
-    for occ, amp in state.terms.items():
-        nu = occ[slot]
-        raised = occ[:slot] + (nu + 1,) + occ[slot + 1 :]
-        out[raised] = amp * math.sqrt(nu + 1)
-    return FockState(state.params, out)
+    return apply_creator(state, (np.arange(state.params.n_sites) == k + h).astype(float))
 
 
 def apply_create_local(state: FockState, site: int) -> FockState:
-    """Create an excitation localized at a 1-based site.
-
-    The site creator is the mode-profile-weighted sum of the wave-number
-    creators, so each input term fans out into at most N output terms.
-    """
+    """Create an excitation localized at a 1-based site: the creator is its mode profile."""
     n_sites = state.params.n_sites
     if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
         raise ValueError(f"site must be an integer, got {site!r}")
     if not 1 <= site <= n_sites:
         raise ValueError(f"site {site} out of range 1..{n_sites}")
-    row = mode_profile(n_sites, int(site))
-    out = {}
-    for occ, amp in state.terms.items():
-        for slot in range(n_sites):
-            nu = occ[slot]
-            raised = occ[:slot] + (nu + 1,) + occ[slot + 1 :]
-            contrib = row[slot] * amp * math.sqrt(nu + 1)
-            out[raised] = out.get(raised, 0.0 + 0.0j) + contrib
-    out = {occ: amp for occ, amp in out.items() if amp != 0}
-    return FockState(state.params, out)
+    return apply_creator(state, mode_profile(n_sites, int(site)))
 
 
 def linear_combine(pairs) -> FockState:

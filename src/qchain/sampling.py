@@ -164,17 +164,22 @@ def load_samples(text: str) -> SampleBatch:
     for part in head.split(", "):
         key, _, value = part.partition("=")
         meta[key] = value
-    if meta["mode"] not in ("parallel_axes", "scatter2d"):
-        raise ValueError(f"unknown chart type {meta['mode']!r} in the sample table header")
-    n_dims = int(meta["n_dims"])
-    spec = RenderSpec(
-        sample_count=int(meta["samples"]),
-        window=float(meta["window"]),
-        seed=int(meta["seed"]),
-        color_mode=meta["color_mode"],
-        width=int(meta["width"]),
-        height=int(meta["height"]),
-    )
+    try:
+        if meta["mode"] not in ("parallel_axes", "scatter2d"):
+            raise ValueError(f"unknown chart type {meta['mode']!r} in the sample table header")
+        n_dims = int(meta["n_dims"])
+        spec = RenderSpec(
+            sample_count=int(meta["samples"]),
+            window=float(meta["window"]),
+            seed=int(meta["seed"]),
+            color_mode=meta["color_mode"],
+            width=int(meta["width"]),
+            height=int(meta["height"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"sample table header has no {exc.args[0]}= field") from None
+    if n_dims < 1:
+        raise ValueError(f"n_dims must be >= 1, got {n_dims}")
     points = np.empty((spec.sample_count, n_dims))
     values = np.empty(spec.sample_count, dtype=complex)
     rows = lines[1:]

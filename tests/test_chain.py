@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qchain.chain import (
     ChainParams,
     build_coupling_matrix,
-    dump_basis,
-    from_normal_coords,
     mode_indices,
     mode_profile,
     mode_spectrum,
     real_mode_basis,
-    to_normal_coords,
 )
 
 
@@ -107,7 +102,7 @@ def test_uniform_vector_projects_onto_k0():
     # constant displacement is purely the k=0 mode with weight c*sqrt(N)
     basis = real_mode_basis(ChainParams(n_sites=15))
     c = 0.37
-    normal = to_normal_coords(basis, np.full(15, c))
+    normal = basis.basis.T @ np.full(15, c)
     expected = np.zeros(15)
     expected[7] = c * np.sqrt(15)
     assert np.max(np.abs(normal - expected)) < 1e-13
@@ -119,34 +114,6 @@ def test_k1_profile_sign_changes_at_n15():
     values = np.array([mode_profile(15, site)[7 + 1] for site in range(1, 16)])
     flips = [site for site in range(1, 15) if values[site - 1] * values[site] < 0]
     assert flips == [5, 13]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_normal_coords_round_trip_and_parseval(seed):
-    basis = real_mode_basis(ChainParams(n_sites=9, kappa=1.2, gamma=0.4))
-    q = np.random.default_rng(seed).uniform(-5, 5, size=9)
-    normal = to_normal_coords(basis, q)
-    back = from_normal_coords(basis, normal)
-    assert np.max(np.abs(back - q)) < 1e-12
-    assert abs(np.linalg.norm(normal) - np.linalg.norm(q)) < 1e-12
-
-
-def test_coordinate_shape_checks():
-    basis = real_mode_basis(ChainParams(n_sites=5))
-    with pytest.raises(ValueError):
-        to_normal_coords(basis, np.zeros(4))
-    with pytest.raises(ValueError):
-        from_normal_coords(basis, np.zeros((5, 1)))
-
-
-def test_dump_basis_format():
-    basis = real_mode_basis(ChainParams(n_sites=3))
-    text = dump_basis(basis)
-    lines = text.splitlines()
-    assert len(lines) == 3 and text.endswith("\n")
-    parsed = np.array([[float(v) for v in line.split(" ")] for line in lines])
-    assert np.array_equal(parsed, basis.basis)  # 17 digits round-trip doubles
 
 
 def test_basis_arrays_read_only():

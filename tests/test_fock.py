@@ -7,6 +7,7 @@ from qchain.chain import ChainParams, mode_profile, real_mode_basis
 from qchain.fock import (
     apply_create,
     apply_create_local,
+    apply_creator,
     dump_state,
     energy_eigenvalue,
     inner_product,
@@ -47,6 +48,24 @@ def test_create_validates_index():
         apply_create_local(v, 0)
     with pytest.raises(ValueError):
         apply_create_local(v, 4)
+
+
+def test_creator_vector_is_the_weighted_sum_of_mode_creators():
+    # (0.5 a[-1] + 2i a[1]) applied twice: linear in the vector, zero slots skipped
+    v = vacuum(P3)
+    vec = np.array([0.5, 0.0, 2j])
+    once = apply_creator(v, vec)
+    assert once.terms == {(1, 0, 0): 0.5 + 0j, (0, 0, 1): 2j}
+    twice = apply_creator(once, vec)
+    want = linear_combine([(0.25, apply_create(apply_create(v, -1), -1)),
+                           (2j, apply_create(apply_create(v, 1), -1)),
+                           (-4.0, apply_create(apply_create(v, 1), 1))])
+    assert set(twice.terms) == set(want.terms)
+    for occ, amp in want.terms.items():
+        assert twice.terms[occ] == pytest.approx(amp, rel=1e-15)
+    assert apply_creator(v, np.zeros(3)).terms == {}
+    with pytest.raises(ValueError):
+        apply_creator(v, np.ones(5))
 
 
 def test_local_create_coefficients():

@@ -212,6 +212,26 @@ GOLDEN_SVG_SHA256 = {
     ("phase_hue", 42): "776f91d9a9f4cb1641fa4e0ff12d0a2d115c4b1795f0c58eb9334aecd5edd6ed",
 }
 
+# SHA-256 of the --dump-state files written by the evaluator that expanded
+# each creator through its own Fock-space routine, before one creation kernel
+# replaced them.  Keys are presets or (N, state expression).
+GOLDEN_STATE_SHA256 = {
+    "fig2": "cf2a11b5f9355b9ef1d88c69d3b80aa1cd6495a26b17b5b9d1b0bd39c4765917",
+    "fig3": "56a49f8bfd29cd8a5bf701f5406afafc75d100dfdc92c3af5584976e86966551",
+    "fig4": "96e009c66ac51d3645b68b221cf0d1c51f5f9def3de0af56a1cd45dcb68024e2",
+    "fig5": "599ad0242834c37983618fe058ea9b66af492104c5da6c6e3928eae1b721fffd",
+    "fig6": "be8a045b6393d328bac0df1f859979171d7fb4729efd2ce93a6bfbbf7bd35e7f",
+    "fig7": "0d956016570d6e3ba6b124f317babef6fdd51cbe19cfcaaa744814476c27a83a",
+    "fig8a": "76761bac013671b9531392573f9ad22263ab770d24ddf77c3c5ce5f547b9a034",
+    "fig8b": "19efa8e34f511f9f065d4ebfb76f08bf3240b777d37627657ceeacc59cd2ba21",
+    (15, "(a[1] + i a[-1]) vac"):
+        "d68e72781384610b71e3476e86bd55acc45f2332c9c78150495843ac04e1bc72",
+    (15, "b[1] b[4] b[8] b[11] b[14] vac"):
+        "7cdd7d3d52d3ac797e6498804d826fee03ec88e3d87fe2e05abde3c64389def8",
+    (31, "b[3] b[8] b[20] vac"):
+        "0db85f0573b139e5345114509dd172b2ebe162615bd8f654d92c0126d982a821",
+}
+
 NON_PRESET_ARGS = {
     "phase_hue": ["--n", "15", "--state", "(a[1] + i a[-1]) vac", "--color-mode", "phase_hue"],
     "mass_kappa_2d": ["--mode2d", "--nu1", "5", "--nu2", "3", "--mass", "2", "--kappa", "0.5"],
@@ -226,6 +246,16 @@ def test_figures_byte_identical_to_golden(figure, seed, tmp_path, capsys):
     assert main(args + ["--seed", str(seed), "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
+
+
+@pytest.mark.parametrize("state", GOLDEN_STATE_SHA256, ids=str)
+def test_state_dumps_byte_identical_to_golden(state, tmp_path, capsys):
+    dump = tmp_path / "state.txt"
+    args = [state] if isinstance(state, str) else ["--n", str(state[0]), "--state", state[1]]
+    assert main(args + ["--samples", "10", "--out", str(tmp_path / "figure.svg"),
+                        "--dump-state", str(dump)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == GOLDEN_STATE_SHA256[state]
 
 
 # Reference color maps: the scalar formulas the array kernels replaced.

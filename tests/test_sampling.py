@@ -145,6 +145,15 @@ def test_load_rejects_malformed_tables():
         load_samples(good.replace("window=3", "window=0.1"))  # points outside window
     with pytest.raises(ValueError):
         load_samples(good.replace("mode=parallel_axes", "mode=pie_chart"))  # unknown chart
+    for field in ("mode=parallel_axes", "height=560"):  # a header field is missing
+        name = field.partition("=")[0]
+        with pytest.raises(ValueError, match=f"no {name}= field"):
+            load_samples(good.replace(", " + field, ""))
+    header = lines[0].replace("n_dims=3", "n_dims={}").replace("samples=3", "samples=1")
+    for n_dims in (0, -1):  # one row with n_dims + 2 columns
+        table = header.format(n_dims) + "\n" + ",".join(["0.5"] * (n_dims + 2)) + "\n"
+        with pytest.raises(ValueError, match="n_dims must be >= 1"):
+            load_samples(table)
 
 
 def test_corner_amplitude_negligible_for_decoupled_small_chains():
