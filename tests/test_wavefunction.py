@@ -429,3 +429,16 @@ def test_state_and_basis_from_different_chains():
     wick = creator_state(parse_state_expr("a[1] vac", 5), ChainParams(n_sites=5))
     with pytest.raises(ValueError, match="different chains"):
         evaluate_batch(wick, basis, np.zeros((2, 7)))
+
+
+def test_batch_spanning_blocks_matches_its_rows():
+    params = ChainParams(n_sites=301)
+    basis = real_mode_basis(params)
+    state = creator_state(parse_state_expr("a[1] b[7] vac", 301), params)
+    pts = np.random.default_rng(5).uniform(-0.5, 0.5, size=(250, 301))  # 3 blocks at N=301
+    batch = evaluate_batch(state, basis, pts)
+    assert batch.shape == (250,)
+    assert evaluate_batch(state, basis, pts[:0]).shape == (0,)
+    for i in (0, 107, 108, 216, 249):  # either side of each block edge
+        single = evaluate(state, basis, pts[i])
+        assert abs(single - batch[i]) <= 1e-12 * np.max(np.abs(batch))
