@@ -8,8 +8,9 @@
 # Creation operators commute, so b[3] b[8] and b[8] b[3] build the exact
 # same state, term for term.
 
-from qchain import ChainParams, RenderSpec, build_state, chain_window
+from qchain import ChainParams, RenderSpec, build_state, chain_window, parse_state_expr
 from qchain import real_mode_basis, render_parallel_axes, sample_chain_state
+from qchain.expr import evaluate_expr
 
 params = ChainParams(n_sites=11)
 basis = real_mode_basis(params)
@@ -26,8 +27,9 @@ for src, outfile in [
     batch = sample_chain_state(state, basis, spec, state_label=label)
     with open(outfile, "w") as fh:
         fh.write(render_parallel_axes(batch))
-    print(f"{label:15s} -> {outfile} ({len(state.terms)} occupation terms)")
+    terms = evaluate_expr(parse_state_expr(src, 11), params).terms
+    print(f"{label:15s} -> {outfile} ({len(terms)} occupation terms)")
 
-swapped, _ = build_state("b[8] b[3] vac", params)
-original, _ = build_state("b[3] b[8] vac", params)
+swapped = evaluate_expr(parse_state_expr("b[8] b[3] vac", 11), params)
+original = evaluate_expr(parse_state_expr("b[3] b[8] vac", 11), params)
 print("b[3] b[8] vac == b[8] b[3] vac term map:", original.terms == swapped.terms)

@@ -1,11 +1,12 @@
 """Wavefunction visualizer for a quantized harmonic chain.
 
 The pipeline: diagonalize the chain into independent normal modes
-(:mod:`~qchain.chain`), build excited states with plane-wave or localized
-creation operators (:mod:`~qchain.fock`), evaluate the N-dimensional
-position wavefunction at random sample points (:mod:`~qchain.wavefunction`,
-:mod:`~qchain.sampling`), and draw each sample as one polyline across N
-axes, colored by the wavefunction value (:mod:`~qchain.render`).
+(:mod:`~qchain.chain`), build states as creators applied to the vacuum
+(:mod:`~qchain.expr`), evaluate the N-dimensional position wavefunction at
+random sample points (:mod:`~qchain.wavefunction`, :mod:`~qchain.sampling`),
+and draw each sample as one polyline across N axes, colored by the
+wavefunction value (:mod:`~qchain.render`).  :mod:`~qchain.fock` expands
+states into occupation-number terms.
 """
 
 from .chain import (

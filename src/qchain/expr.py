@@ -18,8 +18,9 @@ ultimately apply its operators to ``vac``.
 Parsing reports syntax errors, out-of-range indices, and type errors (for
 instance adding a scalar to a state) with a character position.  One walk
 of the tree gives :func:`creator_state`: creator vectors in mode space and
-monomials over them, what evaluation uses.  :func:`evaluate_expr` expands
-that creator form into occupation-number terms.
+monomials over them, what :func:`build_state` returns and evaluation uses.
+:func:`evaluate_expr` expands that creator form into occupation-number
+terms, for ``--dump-state``, norms and inner products.
 """
 
 from __future__ import annotations
@@ -405,6 +406,6 @@ def evaluate_expr(node, params: ChainParams) -> FockState:
 
 
 def build_state(src: str, params: ChainParams):
-    """Parse and evaluate in one step; returns (state, canonical label)."""
+    """Parse in one step; returns (:func:`creator_state`, canonical label)."""
     ast = parse_state_expr(src, params.n_sites)
-    return evaluate_expr(ast, params), pretty(ast)
+    return creator_state(ast, params), pretty(ast)

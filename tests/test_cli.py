@@ -7,9 +7,9 @@ import pytest
 
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.cli import PRESETS, main
-from qchain.expr import build_state
+from qchain.expr import build_state, evaluate_expr, parse_state_expr
 from qchain.fock import dump_state
-from qchain.sampling import load_samples
+from qchain.sampling import RenderSpec, chain_window, load_samples, sample_chain_state
 from qchain.wavefunction import evaluate_batch
 
 
@@ -57,8 +57,33 @@ def test_dump_state_flag(tmp_path):
     code = main(["--n", "5", "--state", "b[2] vac", "--samples", "10",
                  "--out", str(out), "--dump-state", str(dump)])
     assert code == 0
-    state, _ = build_state("b[2] vac", ChainParams(n_sites=5))
+    state = evaluate_expr(parse_state_expr("b[2] vac", 5), ChainParams(n_sites=5))
     assert dump.read_text() == dump_state(state)
+
+
+LIBRARY_CASES = [pytest.param(p["n"], p["state"], "diverging_real", id=name)
+                 for name, p in PRESETS.items() if not p.get("mode2d")]
+LIBRARY_CASES.append(pytest.param(15, "(a[1] + i a[-1]) vac", "phase_hue", id="phase_hue"))
+
+
+@pytest.mark.parametrize("n, src, color_mode", LIBRARY_CASES)
+def test_library_values_bit_identical_to_cli(n, src, color_mode, tmp_path):
+    table = tmp_path / "t.csv"
+    code = main(["--n", str(n), "--state", src, "--samples", "2000", "--seed", "0",
+                 "--color-mode", color_mode, "--out", str(tmp_path / "t.svg"),
+                 "--dump-samples", str(table)])
+    assert code == 0
+    cli_batch = load_samples(table.read_text())
+
+    params = ChainParams(n_sites=n)
+    basis = real_mode_basis(params)
+    state, label = build_state(src, params)
+    spec = RenderSpec(sample_count=2000, window=chain_window(basis), seed=0,
+                      color_mode=color_mode)
+    batch = sample_chain_state(state, basis, spec, state_label=label)
+    assert batch.spec == cli_batch.spec and batch.state_label == cli_batch.state_label
+    assert np.array_equal(batch.points.view(np.uint64), cli_batch.points.view(np.uint64))
+    assert np.array_equal(batch.values.view(np.uint64), cli_batch.values.view(np.uint64))
 
 
 def test_mode2d_preset(tmp_path):
@@ -200,7 +225,8 @@ def test_long_product_of_operator_sums(tmp_path):
     assert code == 0
     batch = load_samples(table.read_text())
     params = ChainParams(n_sites=5)
-    state, _ = build_state(src, params)
+    # reference from the occupation-term expansion, not the CLI's creator form
+    state = evaluate_expr(parse_state_expr(src, 5), params)
     ref = evaluate_batch(state, real_mode_basis(params), batch.points)
     assert np.max(np.abs(batch.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -166,8 +166,13 @@ def test_build_state_returns_canonical_label():
     p = ChainParams(n_sites=11)
     state, label = build_state("b[5]   vac", p)
     assert label == "b[5] vac"
-    assert abs(norm(state) - 1.0) < 1e-12
-    assert state.terms == apply_create_local(vacuum(p), 5).terms
+    ast = parse_state_expr("b[5] vac", 11)
+    expected = creator_state(ast, p)
+    assert np.array_equal(state.vectors, expected.vectors)
+    assert state.monomials == expected.monomials
+    fock = evaluate_expr(ast, p)
+    assert abs(norm(fock) - 1.0) < 1e-12
+    assert fock.terms == apply_create_local(vacuum(p), 5).terms
 
 
 def test_evaluate_numeric_literals():
