@@ -24,7 +24,7 @@ sample.  ``'%.2f' % y`` writes the same text as ``f"{y:.2f}"``.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -151,7 +151,7 @@ def _chart(batch: SampleBatch, chart: str):
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
         f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f"<metadata>{escape(meta)}</metadata>",
+        f"<metadata>{escape(meta, quote=False)}</metadata>",
         f'<rect width="{spec.width}" height="{spec.height}" fill="{_BACKGROUND_HEX}"/>',
     ]
     plot_w = spec.width - _LEFT - _RIGHT
@@ -172,7 +172,7 @@ def _titles(plot_w: int, plot_h: int, x_name: str, y_name: str, label: str):
     parts = [_text(_LEFT + plot_w, _TOP + plot_h + 32, x_name, size=12, anchor="end"),
              _text(_LEFT - 40, _TOP - 12, y_name, size=12)]
     if label:
-        parts.append(_text(_LEFT, 20, escape(label), size=13, fill="#000000"))
+        parts.append(_text(_LEFT, 20, escape(label, quote=False), size=13, fill="#000000"))
     return parts
 
 

@@ -5,6 +5,9 @@ seeded generator (numpy's PCG64), so a fixed (seed, sample count, dimension,
 window) tuple reproduces the exact same points.  The generator identifier and
 all draw parameters travel with every output so figures can be regenerated
 bit for bit.
+
+Each table row fills one ``%`` template; ``'%.17g' % x`` writes the same
+text as ``f"{x:.17g}"``.
 """
 
 from __future__ import annotations
@@ -122,10 +125,6 @@ def sample_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float,
     return SampleBatch(points=points, values=values, spec=spec, state_label=label)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def dump_samples(batch: SampleBatch) -> str:
     """Sample table: one metadata header line, then one row per sample.
 
@@ -137,17 +136,13 @@ def dump_samples(batch: SampleBatch) -> str:
     chart = "scatter2d" if batch.n_dims == 2 else "parallel_axes"  # N is odd for a chain
     header = (
         f"# qchain-samples v1, n_dims={batch.n_dims}, samples={spec.sample_count}, "
-        f"seed={spec.seed}, window={_fmt(spec.window)}, mode={chart}, "
+        f"seed={spec.seed}, window={spec.window:.17g}, mode={chart}, "
         f"color_mode={spec.color_mode}, width={spec.width}, height={spec.height}, "
-        f"rng={RNG_ID}, state={batch.state_label}"
+        f"rng={RNG_ID}, state={batch.state_label}\n"
     )
-    lines = [header]
-    for row, value in zip(batch.points, batch.values):
-        cols = [_fmt(c) for c in row]
-        cols.append(_fmt(value.real))
-        cols.append(_fmt(value.imag))
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+    template = ",".join(["%.17g"] * (batch.n_dims + 2)) + "\n"
+    table = np.column_stack([batch.points, batch.values.real, batch.values.imag])
+    return header + "".join([template % tuple(row.tolist()) for row in table])
 
 
 def load_samples(text: str) -> SampleBatch:
@@ -180,17 +175,17 @@ def load_samples(text: str) -> SampleBatch:
         raise ValueError(f"sample table header has no {exc.args[0]}= field") from None
     if n_dims < 1:
         raise ValueError(f"n_dims must be >= 1, got {n_dims}")
-    points = np.empty((spec.sample_count, n_dims))
-    values = np.empty(spec.sample_count, dtype=complex)
     rows = lines[1:]
     if len(rows) != spec.sample_count:
         raise ValueError(f"expected {spec.sample_count} rows, found {len(rows)}")
+    table = np.empty((spec.sample_count, n_dims + 2))
     for i, row in enumerate(rows):
         cols = row.split(",")
         if len(cols) != n_dims + 2:
             raise ValueError(f"row {i + 1}: expected {n_dims + 2} columns, got {len(cols)}")
-        points[i] = [float(c) for c in cols[:n_dims]]
-        values[i] = complex(float(cols[n_dims]), float(cols[n_dims + 1]))
+        table[i] = np.fromiter(map(float, cols), float, n_dims + 2)
+    points = table[:, :n_dims]
     if np.any(np.abs(points) > spec.window):
         raise ValueError("sample coordinates fall outside the declared window")
+    values = np.ascontiguousarray(table[:, n_dims:]).view(complex)[:, 0]  # keeps -0.0 parts
     return SampleBatch(points=points, values=values, spec=spec, state_label=state_label)

@@ -54,6 +54,12 @@ class CreatorState:
     vectors: np.ndarray  # (p, N), real or complex
     monomials: tuple
 
+    def __eq__(self, other):
+        if not isinstance(other, CreatorState):
+            return NotImplemented
+        return (self.params == other.params and self.monomials == other.monomials
+                and np.array_equal(self.vectors, other.vectors))
+
 
 def _weighted_terms(state):
     """Creator vectors and (weight, multiplicities) pairs, one per term of the
@@ -140,8 +146,8 @@ def _wick_sum(vectors, terms, y, scale) -> np.ndarray:
         weights = [w.real for w in weights]  # real creators and weights: real arithmetic
     lin = math.sqrt(2.0) * (vectors @ y.T)  # L_j, one row per creator
     gram = vectors @ vectors.T
-    vac = {(0,) * len(vectors): np.ones(y.shape[0])}
-    acc = sum(w * _wick_power(lin, gram, mult, dict(vac)) for w, (_, mult) in zip(weights, terms))
+    memo = {(0,) * len(vectors): np.ones(y.shape[0])}  # W by multiplicities, shared by all terms
+    acc = sum(w * _wick_power(lin, gram, mult, memo) for w, (_, mult) in zip(weights, terms))
     return (acc * envelope).astype(complex)
 
 

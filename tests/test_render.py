@@ -1,13 +1,18 @@
 import colorsys
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qchain
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.cli import main
 from qchain.fock import apply_create, vacuum
@@ -112,6 +117,26 @@ def test_svg_structure_and_metadata():
     # one vertical line per site plus the dashed zero line
     assert svg.count("<line ") == 4 + 1
     assert "a[0] vac" in svg  # title text
+
+
+def test_labels_escaped_as_xml_text():
+    label = 'a<b & "c">\''
+    batch = _make_batch([1.0, -1.0], n_dims=2, label=label)
+    for svg in (render_parallel_axes(batch), render_scatter2d(batch)):
+        meta = re.search(r"<metadata>(.*)</metadata>", svg).group(1)
+        assert meta.endswith("; state=" + sax_escape(label))
+        assert ">" + sax_escape(label) + "</text>" in svg
+
+
+def test_import_skips_xml_and_url_libraries():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qchain.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, qchain; "
+            "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_render_deterministic():
@@ -232,6 +257,31 @@ GOLDEN_STATE_SHA256 = {
         "0db85f0573b139e5345114509dd172b2ebe162615bd8f654d92c0126d982a821",
 }
 
+# SHA-256 of the --dump-samples tables (500 samples) written by the per-cell
+# table writer that the one-template-per-row writer replaced.
+GOLDEN_TABLE_SHA256 = {
+    ("fig1", 0): "1d9b1978317f541656c9fdc83c60981cbceab0bdfc63e9ab0883dc634f03a495",
+    ("fig1", 42): "075fc1b8c48bdf7dcddd85de00ecd4b13a96d5c05a099dfce941235efdeb3904",
+    ("fig2", 0): "9b3bb54b752296a3bc17df1e7f6ba1d345e2168823c99e02632074258f866f76",
+    ("fig2", 42): "ca9f2b985a02ce09aece21540a4aae17254a3618e8007ea0f0854ef3c83084e2",
+    ("fig3", 0): "cb75b58aee3a1c20ec055c60c03862eed66ce59b49cb4f964ef021eab5b7b918",
+    ("fig3", 42): "597ba704056080ee21070d00bcf16ba2b4fb93e9d26c8bcf0dd84c5c25f968bd",
+    ("fig4", 0): "6636b235f5a94cdfbf2e1616663aa1d5cf81243e2bb2f5184d151c8184650fc5",
+    ("fig4", 42): "701e795ccd08e7e4a7b5d3ccca0c24ecbad1d03eb4bb2b0ad864676f46914c9f",
+    ("fig5", 0): "ab53d23f77ede54d19dc303580310cf93f7d8f6859ea9ca20836afe1f38cc522",
+    ("fig5", 42): "b88e9f1b68a14ef87b3c99c6d5ad1513fae48331d398c94481c875d57c578aaf",
+    ("fig6", 0): "9fe96fa9b957383efc9777c1afed027c64034dad5f0f9e0f6da670e4fa744c0f",
+    ("fig6", 42): "a2cd8be2bab2472ea82d21a55c81370fa17fd376fdde43796fa6c02590a2ade3",
+    ("fig7", 0): "ef7245c5f91e5787ccd3fd0c54e011d3c916915f20ea4bda4ee30adcc5db96c4",
+    ("fig7", 42): "1cb268020f28399dbc09c6f58ded045140d34e218ffd2f3440b32f679f466063",
+    ("fig8a", 0): "c609d35c4c38e5b619f57bf025bd3cfc81d31bde01a36c19be538f9d80815ce2",
+    ("fig8a", 42): "d8ce633ef42c142034b3ec43c428f7ac1d5552101a6a10e8ce4f853f3fff403d",
+    ("fig8b", 0): "c4a33992eebe34665d66ef23af8c22a006a0488a991507943027407c8721ebbe",
+    ("fig8b", 42): "545b3b1b21c082a35ba908efb41ebff44e874ad4415f8c41c428b738e5a1c2d9",
+    ("phase_hue", 0): "875b2b14130602c56b33235137ec4843ba22f619a0d3610506d023c33ab31008",
+    ("phase_hue", 42): "f1badcd76c527a4485c45a9465c75ee969979838e43a9cd81ae41411fadc8002",
+}
+
 NON_PRESET_ARGS = {
     "phase_hue": ["--n", "15", "--state", "(a[1] + i a[-1]) vac", "--color-mode", "phase_hue"],
     "mass_kappa_2d": ["--mode2d", "--nu1", "5", "--nu2", "3", "--mass", "2", "--kappa", "0.5"],
@@ -256,6 +306,16 @@ def test_state_dumps_byte_identical_to_golden(state, tmp_path, capsys):
                         "--dump-state", str(dump)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == GOLDEN_STATE_SHA256[state]
+
+
+@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_TABLE_SHA256))
+def test_sample_tables_byte_identical_to_golden(figure, seed, tmp_path, capsys):
+    table = tmp_path / "samples.txt"
+    args = NON_PRESET_ARGS.get(figure, [figure])
+    assert main(args + ["--samples", "500", "--seed", str(seed), "--out",
+                        str(tmp_path / "figure.svg"), "--dump-samples", str(table)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == GOLDEN_TABLE_SHA256[figure, seed]
 
 
 # Reference color maps: the scalar formulas the array kernels replaced.

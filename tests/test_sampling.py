@@ -6,6 +6,7 @@ from qchain.fock import apply_create, vacuum
 from qchain.sampling import (
     RNG_ID,
     RenderSpec,
+    SampleBatch,
     chain_window,
     default_window,
     draw_samples,
@@ -106,13 +107,65 @@ def test_dump_load_round_trip_bitwise():
     assert "state=(a[1] + i a[-1]) vac" in header
 
     back = load_samples(text)
-    assert np.array_equal(back.points, batch.points)
-    assert np.array_equal(back.values, batch.values)
+    # bit patterns: np.array_equal counts -0.0 equal to 0.0
+    assert np.array_equal(back.points.view(np.uint64), batch.points.view(np.uint64))
+    assert np.array_equal(back.values.view(np.uint64), batch.values.view(np.uint64))
     assert back.spec == batch.spec
     assert back.state_label == batch.state_label
 
     # dump of the loaded batch is byte-identical (stable 17-digit format)
     assert dump_samples(back) == text
+
+
+# Reference codec: the per-cell writer and reader that the one-template-per-row
+# codec replaced; the table text and the loaded bits must not change.
+def _ref_dump_rows(batch):
+    lines = []
+    for row, value in zip(batch.points, batch.values):
+        cols = [f"{c:.17g}" for c in row]
+        cols.append(f"{value.real:.17g}")
+        cols.append(f"{value.imag:.17g}")
+        lines.append(",".join(cols))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_load_rows(text, n_dims):
+    rows = text.splitlines()[1:]
+    points = np.empty((len(rows), n_dims))
+    values = np.empty(len(rows), dtype=complex)
+    for i, row in enumerate(rows):
+        cols = row.split(",")
+        points[i] = [float(c) for c in cols[:n_dims]]
+        values[i] = complex(float(cols[n_dims]), float(cols[n_dims + 1]))
+    return points, values
+
+
+_TINY = 5e-324  # smallest subnormal
+_EDGE_POINTS = [[-0.0, -0.0, -0.0], [0.0, _TINY, -_TINY], [1e308, -1e308, 2.2e-308],
+                [-1e-310, 1.5, -2.5], [1 / 3, -2 / 3, 1e-300]]
+_EDGE_VALUES = {
+    "complex": [complex(-0.0, -0.0), complex(_TINY, -_TINY), complex(1e308, -1e308),
+                complex(-1e-310, 0.0), complex(0.1, -0.0)],
+    "real": [-0.0, _TINY, -1e308, 2.2e-308, 0.1],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EDGE_VALUES))
+def test_codec_matches_per_cell_reference(kind):
+    points = np.array(_EDGE_POINTS)
+    values = np.array(_EDGE_VALUES[kind])
+    spec = RenderSpec(sample_count=len(points), window=1e308, seed=4)
+    batch = SampleBatch(points=points, values=values, spec=spec, state_label="edge")
+    text = dump_samples(batch)
+    assert text.partition("\n")[2] == _ref_dump_rows(batch)
+    assert text.splitlines()[1].startswith("-0,-0,-0,-0,")  # negative zeros survive
+
+    back = load_samples(text)
+    ref_points, ref_values = _ref_load_rows(text, 3)
+    assert np.array_equal(back.points.view(np.uint64), ref_points.view(np.uint64))
+    assert np.array_equal(back.values.view(np.uint64), ref_values.view(np.uint64))
+    assert np.array_equal(back.points.view(np.uint64), points.view(np.uint64))
+    assert np.array_equal(back.values.view(np.uint64), values.astype(complex).view(np.uint64))
 
 
 def test_dump_uses_17_digit_floats():
@@ -141,6 +194,11 @@ def test_load_rejects_malformed_tables():
     broken[1] = broken[1] + ",0"
     with pytest.raises(ValueError):
         load_samples("\n".join(broken) + "\n")  # column count mismatch
+    for cell in ("abc", ""):  # a non-numeric cell, an empty cell
+        broken = lines[:]
+        broken[2] = ",".join([cell] + broken[2].split(",")[1:])
+        with pytest.raises(ValueError):
+            load_samples("\n".join(broken) + "\n")
     with pytest.raises(ValueError):
         load_samples(good.replace("window=3", "window=0.1"))  # points outside window
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import eval_hermite
 
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.cli import PRESETS
-from qchain.expr import creator_state, evaluate_expr, parse_state_expr
+from qchain.expr import build_state, creator_state, evaluate_expr, parse_state_expr
 from qchain.fock import FockState, apply_create, apply_create_local, linear_combine, vacuum
 from qchain.sampling import RenderSpec, chain_window, draw_samples
 from qchain.wavefunction import (
@@ -419,6 +420,20 @@ def test_creator_form_merges_sums_and_repeats():
     pair = creator_state(parse_state_expr("b[5] b[5] vac + b[2] b[5] vac - b[5] b[2] vac", 5),
                          params)
     assert pair.vectors.dtype == float and pair.monomials == ((1.0, (2,)),)
+
+
+def test_creator_states_compare_by_value():
+    params = ChainParams(n_sites=5)
+    state = build_state("b[2] vac", params)[0]
+    assert state == build_state("b[2]   vac", params)[0]
+    assert not state != build_state("b[2] vac", params)[0]
+    (coef, mult), = state.monomials
+    assert state != replace(state, monomials=((2 * coef, mult),))
+    vectors = state.vectors.copy()
+    vectors[0, 3] += 1e-3
+    assert state != replace(state, vectors=vectors)
+    assert state != replace(state, params=ChainParams(n_sites=5, gamma=0.5))
+    assert state != build_state("b[1] vac", params)[0]
 
 
 def test_state_and_basis_from_different_chains():
