@@ -1,6 +1,10 @@
 """SVG renderers: parallel-axes polyline charts and 2D scatter charts.
 
-Every sample becomes one chart element colored by its wavefunction value.
+Every sample whose color differs from the background becomes one chart
+element, colored by its wavefunction value and with id ``s<sample index>``.
+A sample whose color rounds to the background white would paint nothing but
+white over the axes, so it is left out; the metadata's ``samples=`` and the
+sample table (:func:`~qchain.sampling.dump_samples`) still cover every draw.
 The diverging map sends zero to the background white (near-nodal samples
 vanish into the chart), the largest positive real part to a deep warm red
 and the most negative to a deep cool blue, linearly in between; no
@@ -19,7 +23,7 @@ them.  Each color map is one array kernel over the whole batch, and each
 distinct color is formatted to hex once.  Each figure builds one ``%``
 template for its element rows, with the fixed parts (for polylines, the x
 pixel of every site axis) formatted into it once, and fills it once per
-sample.  ``'%.2f' % y`` writes the same text as ``f"{y:.2f}"``.
+drawn sample.  ``'%.2f' % y`` writes the same text as ``f"{y:.2f}"``.
 """
 
 from __future__ import annotations
@@ -177,17 +181,25 @@ def _titles(plot_w: int, plot_h: int, x_name: str, y_name: str, label: str):
 
 
 def _elements(template: str, batch: SampleBatch, coords) -> list[str]:
-    """One element per sample in draw order: ``template % (index, *coords[index], color)``."""
+    """``template % (index, *coords[index], color)`` per sample in draw order.
+
+    The whole batch is colored, then every sample whose color is the
+    background is dropped before its coordinates are formatted.
+    """
     order = draw_order(batch.values)
-    rows = zip(order.tolist(), coords[order].tolist(), _colors(batch, order))
+    colors = np.array(_colors(batch, order), dtype=object)
+    shown = colors != _BACKGROUND_HEX
+    order = order[shown]
+    rows = zip(order.tolist(), coords[order].tolist(), colors[shown].tolist())
     return [template % (idx, *row, color) for idx, row, color in rows]
 
 
 def render_parallel_axes(batch: SampleBatch) -> str:
-    """Parallel-axes chart: one polyline per sample across N site axes.
+    """Parallel-axes chart: one polyline across N site axes per sample that shows.
 
     The x axis is the site index 1..N, the y axis the coordinate value over
-    [-window, window].  Returns the SVG document as a string.
+    [-window, window].  A sample colored as the background is left out; the
+    others keep their sample index as id.  Returns the SVG document as a string.
     """
     n = batch.n_dims
     win = batch.spec.window
@@ -224,7 +236,11 @@ def render_parallel_axes(batch: SampleBatch) -> str:
 
 
 def render_scatter2d(batch: SampleBatch) -> str:
-    """Scatter chart of a two-dimensional batch: one dot per sample at (q1, q2)."""
+    """Scatter chart of a two-dimensional batch: one dot at (q1, q2) per sample that shows.
+
+    A sample colored as the background is left out; the others keep their
+    sample index as id.
+    """
     if batch.n_dims != 2:
         raise ValueError(f"scatter rendering requires 2 dimensions, got {batch.n_dims}")
     win = batch.spec.window

@@ -12,7 +12,7 @@ text as ``f"{x:.17g}"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,6 +184,9 @@ def load_samples(text: str) -> SampleBatch:
         if len(cols) != n_dims + 2:
             raise ValueError(f"row {i + 1}: expected {n_dims + 2} columns, got {len(cols)}")
         table[i] = np.fromiter(map(float, cols), float, n_dims + 2)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0] + 1}: non-finite cell")
     points = table[:, :n_dims]
     if np.any(np.abs(points) > spec.window):
         raise ValueError("sample coordinates fall outside the declared window")

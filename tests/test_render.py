@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qchain
+from qchain import render
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.cli import main
 from qchain.fock import apply_create, vacuum
@@ -76,6 +77,18 @@ def test_draw_order_sorts_by_magnitude():
 
 def _element_ids(svg, tag):
     return [int(m.group(1)) for m in re.finditer(rf'<{tag} id="s(\d+)"', svg)]
+
+
+def _shown_ids(batch):
+    """Draw order restricted to the samples whose color is not the background."""
+    values = batch.values
+    if batch.spec.color_mode == "phase_hue":
+        vmax = float(np.max(np.abs(values)))
+        colors = [phase_color(v, vmax) for v in values.tolist()]
+    else:
+        vmax = float(np.max(np.abs(values.real)))
+        colors = [diverging_color(v, vmax) for v in values.real.tolist()]
+    return [i for i in draw_order(values).tolist() if colors[i] != "#ffffff"]
 
 
 def test_parallel_axes_draw_order_and_colors():
@@ -151,8 +164,8 @@ def test_render_deterministic():
 def test_all_zero_values_render_background_only():
     batch = _make_batch([0.0, 0.0, 0.0])
     svg = render_parallel_axes(batch)
-    for match in re.finditer(r'<polyline[^>]*stroke="(#\w{6})"', svg):
-        assert match.group(1) == "#ffffff"
+    assert re.search(r' id="s\d+"', svg) is None
+    assert svg.count("<line ") == 3 + 1  # the site axes and the dashed zero line
 
 
 def test_scatter_requires_two_dims():
@@ -165,9 +178,9 @@ def test_scatter_chart_elements():
     batch = sample_oscillator2d(1, 0, 1.0, 1.0, spec)
     svg = render_scatter2d(batch)
     ids = _element_ids(svg, "circle")
-    assert len(ids) == 25
-    mags = np.abs(batch.values)
-    assert ids == sorted(range(25), key=lambda i: mags[i])
+    shown = _shown_ids(batch)
+    assert svg.count("<circle") == len(shown)
+    assert ids == shown
     assert "state=oscillator2d nu=(1,0)" in svg
 
 
@@ -198,21 +211,27 @@ def test_phase_mode_uses_complex_magnitude():
     # a purely imaginary value has zero real part but full |psi|: invisible
     # in the diverging map, fully saturated in the phase map
     values = [1j, 0.5 + 0.0j]
-    div = render_parallel_axes(_make_batch(values, color_mode="diverging_real"))
-    seg = div[div.index('<polyline id="s0"'):]
-    assert 'stroke="#ffffff"' in seg[: seg.index("/>")]
+    svgs = {}
+    for color_mode in ("diverging_real", "phase_hue"):
+        batch = _make_batch(values, color_mode=color_mode)
+        svgs[color_mode] = svg = render_parallel_axes(batch)
+        shown = _shown_ids(batch)
+        assert svg.count("<polyline") == len(shown)
+        assert _element_ids(svg, "polyline") == shown
 
-    ph = render_parallel_axes(_make_batch(values, color_mode="phase_hue"))
+    assert '<polyline id="s0"' not in svgs["diverging_real"]
+    ph = svgs["phase_hue"]
     seg = ph[ph.index('<polyline id="s0"'):]
     color = re.search(r'stroke="(#\w{6})"', seg[: seg.index("/>")]).group(1)
     assert color != "#ffffff"
 
 
 # SHA-256 of the SVGs written by the per-vertex, per-sample renderer that the
-# bulk renderer replaced; the bulk renderer must reproduce them byte for byte.
-# The two *_2d cases were written by the Hermite-recurrence 2D evaluator that
-# the Wick evaluator replaced.
-GOLDEN_SVG_SHA256 = {
+# bulk renderer replaced, when every sample still became an element; the bulk
+# writer with one element per sample (_elements_every_sample) must reproduce
+# them byte for byte.  The two *_2d cases were written by the
+# Hermite-recurrence 2D evaluator that the Wick evaluator replaced.
+GOLDEN_EVERY_SAMPLE_SVG_SHA256 = {
     ("fig1", 0): "229193d2488f69d9cc4a257f0354fce56130ce58a135eaf6a34258e635879a56",
     ("fig1", 42): "3b2fb875ca42664f42ee3eb1e778d6ece8a9c4fd05cd53ef1f1310deb7630516",
     ("fig2", 0): "00281e238625470df83bd2af60f3ef8381657a056c830425e34afbff3a911435",
@@ -235,6 +254,33 @@ GOLDEN_SVG_SHA256 = {
     ("phase_hue_2d", 0): "bc0618792628308b1a484afc522dbd5c33893b2c86d0111e4f492852c08bb79d",
     ("phase_hue", 0): "6eb9a5c8a23fdf30e9c1511b4aa6d89b57ac50ef2d13e62fe80426643bf36c7d",
     ("phase_hue", 42): "776f91d9a9f4cb1641fa4e0ff12d0a2d115c4b1795f0c58eb9334aecd5edd6ed",
+}
+
+# SHA-256 of the same SVGs with every background-colored sample left out,
+# recorded once test_figures_are_every_sample_figures_without_background held.
+GOLDEN_SVG_SHA256 = {
+    ("fig1", 0): "5b0bbe7387e41571354975a808ce6c15010b86f20e5b8e1de70685b7d749d926",
+    ("fig1", 42): "0701f9c10132a98b081a2e9acd2edd4502a9b5eec82d05c95290d77f3436e551",
+    ("fig2", 0): "bdbec8a8bb32c9f13c6bfb252f6217cce10d037ad9e1aa61c051f51a90b7771b",
+    ("fig2", 42): "b2c832e4864622777b9ffee76a31e592314c78ef57764881a046b327a45f4a40",
+    ("fig3", 0): "6b2bd9b32a8ec0da2715b406b38d6703bf16435c96f766713c1264aada9e5c4e",
+    ("fig3", 42): "62c24dfacf2e00fba33de44a1e5b5da733176d71fac8c326e60df739d42482a2",
+    ("fig4", 0): "a27da039c278fbc3eed7fb95579674b207c2268fd368699eea73965a88fe884d",
+    ("fig4", 42): "b2d5fb7528a9eabedfb44243d629f27d15fe991d5b3742d7c9425a82fad81010",
+    ("fig5", 0): "08f4f286955c6cd2a5bb8946061a6b945edc205f1523f703935039c6cd2c21ae",
+    ("fig5", 42): "6257cd53654de63822a2b3afc6d55c606358fb8f2c53dbdc436fdb293db48d63",
+    ("fig6", 0): "45d5434a4ed353ad49755be23b0a9e5b8f0b7bfccccaf3cbe2c12b449480b626",
+    ("fig6", 42): "1cb8468063ebcbf6b1e0ae5531c1c18a2bc34929c68fb563085de6fb5eb8659d",
+    ("fig7", 0): "469fa566cd5353fff7260cfa2d32a7902a786e1288ae9f4607893ab275cb5fec",
+    ("fig7", 42): "ef483fba1e734785f1f1ddcef1cdee2fa5245bf65a38200cf6951d160b0eae61",
+    ("fig8a", 0): "e72e22b6f463fd1dac223ac9606d6ce8047fffad1b9d69aa3c7afcdddd3ff407",
+    ("fig8a", 42): "b3145934a8c6ea0a6dea3099af2b85bfdc1c4d13e865e81db35ee12afc976a65",
+    ("fig8b", 0): "803571f7e2b9dbfc290d49dc0c07a3a0a6455eb1d68564861698a40669df3e93",
+    ("fig8b", 42): "c86d3a6fec083c0d12170ebb698707fbe7e78c560d2b8d57561fcf2cdaa4822c",
+    ("mass_kappa_2d", 0): "c438caee24544986e16c04de408694f5ec543463d8ebfc797c6396610ac45087",
+    ("phase_hue_2d", 0): "1f8d1d146ced5aebf13bd6cb4dcfef4c446de8070d3580ef0c16f9a45d5dbcdc",
+    ("phase_hue", 0): "576988bac3a8194eb1329deaf4337a77906de2234eeb1f72a6b09e1d0de8eaeb",
+    ("phase_hue", 42): "17fd48b15141ae3b136d2966db5ee6aafa11cde529f032b1038e87e47b928e67",
 }
 
 # SHA-256 of the --dump-state files written by the evaluator that expanded
@@ -289,13 +335,38 @@ NON_PRESET_ARGS = {
 }
 
 
-@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
-def test_figures_byte_identical_to_golden(figure, seed, tmp_path, capsys):
-    out = tmp_path / "figure.svg"
+def _figure_bytes(figure, seed, out):
     args = NON_PRESET_ARGS.get(figure, [figure])
     assert main(args + ["--seed", str(seed), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
+def test_figures_byte_identical_to_golden(figure, seed, tmp_path, capsys):
+    svg = _figure_bytes(figure, seed, tmp_path / "figure.svg")
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
+    assert hashlib.sha256(svg).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
+
+
+def _elements_every_sample(template, batch, coords):
+    """The sample writer before background-colored samples were left out."""
+    order = draw_order(batch.values)
+    rows = zip(order.tolist(), coords[order].tolist(), _colors(batch, order))
+    return [template % (idx, *row, color) for idx, row, color in rows]
+
+
+_BACKGROUND_SAMPLE = re.compile(rb'<\w+ id="s\d+" [^\n]*(?:stroke|fill)="#ffffff"[^\n]*/>\n')
+
+
+@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_EVERY_SAMPLE_SVG_SHA256))
+def test_figures_are_every_sample_figures_without_background(figure, seed, tmp_path, capsys,
+                                                            monkeypatch):
+    svg = _figure_bytes(figure, seed, tmp_path / "figure.svg")
+    monkeypatch.setattr(render, "_elements", _elements_every_sample)
+    every = _figure_bytes(figure, seed, tmp_path / "every.svg")
+    capsys.readouterr()
+    assert hashlib.sha256(every).hexdigest() == GOLDEN_EVERY_SAMPLE_SVG_SHA256[figure, seed]
+    assert svg == _BACKGROUND_SAMPLE.sub(b"", every)
 
 
 @pytest.mark.parametrize("state", GOLDEN_STATE_SHA256, ids=str)

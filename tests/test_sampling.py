@@ -201,6 +201,13 @@ def test_load_rejects_malformed_tables():
             load_samples("\n".join(broken) + "\n")
     with pytest.raises(ValueError):
         load_samples(good.replace("window=3", "window=0.1"))  # points outside window
+    for row, col, cell in ((1, 0, "nan"), (3, 3, "inf")):  # a NaN coordinate, an infinite value
+        broken = lines[:]
+        cells = broken[row].split(",")
+        cells[col] = cell
+        broken[row] = ",".join(cells)
+        with pytest.raises(ValueError, match=f"row {row}: non-finite cell"):
+            load_samples("\n".join(broken) + "\n")
     with pytest.raises(ValueError):
         load_samples(good.replace("mode=parallel_axes", "mode=pie_chart"))  # unknown chart
     for field in ("mode=parallel_axes", "height=560"):  # a header field is missing
