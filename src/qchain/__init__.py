@@ -5,10 +5,8 @@ The pipeline: diagonalize the chain into independent normal modes
 (:mod:`~qchain.expr`), evaluate the N-dimensional position wavefunction at
 random sample points (:mod:`~qchain.wavefunction`, :mod:`~qchain.sampling`),
 and draw each sample as one polyline across N axes, colored by the
-wavefunction value (:mod:`~qchain.render`); a sample whose color rounds to
-the background white is left out, the others keep their sample index as id,
-and the metadata and the sample table still cover every draw.
-:mod:`~qchain.fock` expands states into occupation-number terms.
+wavefunction value (:mod:`~qchain.render`); background-colored samples are
+left out.  :mod:`~qchain.fock` expands states into occupation-number terms.
 """
 
 from .chain import (

@@ -1,12 +1,10 @@
 """Command line front end.
 
 Builds a chain state from an expression such as ``"b[5] vac"``, samples its
-wavefunction at uniform random points, and writes a parallel-axes graphic:
-one polyline per sample, colored by the wavefunction value, with id
-``s<sample index>``.  A sample whose color rounds to the background white is
-left out; the metadata and the ``--dump-samples`` table still cover every
-draw.  A separate mode renders a two-dimensional oscillator eigenstate as a
-scatter chart.
+wavefunction at uniform random points, and writes a parallel-axes graphic
+(one polyline per sample, colored by the wavefunction value; background-colored
+samples are left out).  A separate mode renders a two-dimensional oscillator
+eigenstate as a scatter chart.
 
 Exit codes: 0 success, 1 usage or expression error, 2 numeric failure,
 3 I/O failure.  Output files are written atomically, so a failed run never

@@ -118,14 +118,12 @@ def draw_order(values) -> np.ndarray:
     return np.argsort(np.abs(np.asarray(values)), kind="stable")
 
 
-def _colors(batch: SampleBatch, order) -> list[str]:
-    """Element colors of the batch's samples, listed in ``order``."""
+def _rgb(batch: SampleBatch, order):
+    """(M, 3) RGB element colors of the batch's samples, listed in ``order``."""
     values = batch.values[order]
     if batch.spec.color_mode == "phase_hue":
-        rgb = _phase_rgb(values, float(np.max(np.abs(values))))
-    else:
-        rgb = _diverging_rgb(values.real, float(np.max(np.abs(values.real))))
-    return _hex_colors(rgb)
+        return _phase_rgb(values, float(np.max(np.abs(values))))
+    return _diverging_rgb(values.real, float(np.max(np.abs(values.real))))
 
 
 def _text(x, y, body, size: int = 11, anchor: str = "", fill: str = LABEL_COLOR) -> str:
@@ -183,23 +181,23 @@ def _titles(plot_w: int, plot_h: int, x_name: str, y_name: str, label: str):
 def _elements(template: str, batch: SampleBatch, coords) -> list[str]:
     """``template % (index, *coords[index], color)`` per sample in draw order.
 
-    The whole batch is colored, then every sample whose color is the
-    background is dropped before its coordinates are formatted.
+    The whole batch is colored; background-colored samples are left out
+    before their colors and coordinates are formatted.
     """
     order = draw_order(batch.values)
-    colors = np.array(_colors(batch, order), dtype=object)
-    shown = colors != _BACKGROUND_HEX
+    rgb = _rgb(batch, order)
+    shown = (rgb != BACKGROUND_RGB).any(axis=1)
     order = order[shown]
-    rows = zip(order.tolist(), coords[order].tolist(), colors[shown].tolist())
+    rows = zip(order.tolist(), coords[order].tolist(), _hex_colors(rgb[shown]))
     return [template % (idx, *row, color) for idx, row, color in rows]
 
 
 def render_parallel_axes(batch: SampleBatch) -> str:
-    """Parallel-axes chart: one polyline across N site axes per sample that shows.
+    """Parallel-axes chart: one polyline across N site axes per sample.
 
     The x axis is the site index 1..N, the y axis the coordinate value over
-    [-window, window].  A sample colored as the background is left out; the
-    others keep their sample index as id.  Returns the SVG document as a string.
+    [-window, window].  Background-colored samples are left out.  Returns the
+    SVG document as a string.
     """
     n = batch.n_dims
     win = batch.spec.window
@@ -236,10 +234,9 @@ def render_parallel_axes(batch: SampleBatch) -> str:
 
 
 def render_scatter2d(batch: SampleBatch) -> str:
-    """Scatter chart of a two-dimensional batch: one dot at (q1, q2) per sample that shows.
+    """Scatter chart of a two-dimensional batch: one dot at (q1, q2) per sample.
 
-    A sample colored as the background is left out; the others keep their
-    sample index as id.
+    Background-colored samples are left out.
     """
     if batch.n_dims != 2:
         raise ValueError(f"scatter rendering requires 2 dimensions, got {batch.n_dims}")

@@ -1,5 +1,4 @@
 import os
-import re
 import subprocess
 import sys
 
@@ -10,9 +9,9 @@ from qchain.chain import ChainParams, real_mode_basis
 from qchain.cli import PRESETS, main
 from qchain.expr import build_state, evaluate_expr, parse_state_expr
 from qchain.fock import dump_state
-from qchain.render import diverging_color, draw_order
 from qchain.sampling import RenderSpec, chain_window, load_samples, sample_chain_state
 from qchain.wavefunction import evaluate_batch
+from sample_ids import element_ids, shown_ids
 
 
 def test_preset_table():
@@ -27,17 +26,6 @@ def test_preset_table():
     assert PRESETS["fig8b"] == {"n": 11, "state": "b[5] b[5] vac"}
 
 
-def _element_ids(svg, tag):
-    return [int(m.group(1)) for m in re.finditer(rf'<{tag} id="s(\d+)"', svg)]
-
-
-def _shown_ids(values):
-    """Draw order restricted to the samples whose diverging color is not the background."""
-    vmax = float(np.max(np.abs(values.real)))
-    shown = [diverging_color(v, vmax) != "#ffffff" for v in values.real.tolist()]
-    return [i for i in draw_order(values).tolist() if shown[i]]
-
-
 def test_run_chain_writes_graphic_and_summary(tmp_path, capsys):
     out, table = tmp_path / "chain.svg", tmp_path / "chain.csv"
     code = main(["--n", "5", "--state", "a[0] vac", "--samples", "100",
@@ -45,9 +33,9 @@ def test_run_chain_writes_graphic_and_summary(tmp_path, capsys):
     assert code == 0
     text = out.read_text()
     assert text.startswith('<?xml version="1.0"')
-    shown = _shown_ids(load_samples(table.read_text()).values)
+    shown = shown_ids(load_samples(table.read_text()))
     assert text.count("<polyline") == len(shown)
-    assert _element_ids(text, "polyline") == shown
+    assert element_ids(text, "polyline") == shown
     summary = capsys.readouterr().out.strip()
     assert summary == f"n=5 state='a[0] vac' samples=100 seed=3 out={out}"
 
@@ -106,9 +94,9 @@ def test_mode2d_preset(tmp_path):
     code = main(["fig1", "--samples", "60", "--out", str(out), "--dump-samples", str(table)])
     assert code == 0
     text = out.read_text()
-    shown = _shown_ids(load_samples(table.read_text()).values)
+    shown = shown_ids(load_samples(table.read_text()))
     assert text.count("<circle") == len(shown)
-    assert _element_ids(text, "circle") == shown
+    assert element_ids(text, "circle") == shown
     assert "state=oscillator2d nu=(2,1)" in text
 
 
@@ -119,11 +107,12 @@ def test_mode2d_high_order_draws(tmp_path, capsys):
     code = main(["--mode2d", "--nu1", "300", "--nu2", "1", "--out", str(out),
                  "--dump-samples", str(table)])
     assert code == 0, capsys.readouterr().err
-    values = load_samples(table.read_text()).values
+    batch = load_samples(table.read_text())
+    values = batch.values
     text = out.read_text()
-    shown = _shown_ids(values)
+    shown = shown_ids(batch)
     assert text.count("<circle") == len(shown)
-    assert _element_ids(text, "circle") == shown
+    assert element_ids(text, "circle") == shown
     assert np.all(np.isfinite(values)) and np.any(values)
 
 
