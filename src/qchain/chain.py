@@ -22,6 +22,7 @@ with no special half-integer mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,19 @@ __all__ = [
     "mode_spectrum",
     "real_mode_basis",
 ]
+
+
+def _check_oscillator(mass: float, kappa: float, gamma: float = 0.0):
+    """Require a positive finite mass and kappa and a finite non-negative gamma.
+
+    NaN fails every comparison, so it is rejected too.
+    """
+    if not 0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -52,12 +66,7 @@ class ChainParams:
             raise ValueError(f"n_sites must be an integer, got {n!r}")
         if n < 1 or n % 2 == 0:
             raise ValueError(f"n_sites must be a positive odd integer, got {n}")
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        _check_oscillator(self.mass, self.kappa, self.gamma)
 
     @property
     def max_wavenumber(self) -> int:

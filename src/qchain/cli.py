@@ -1,10 +1,12 @@
 """Command line front end.
 
-Builds a chain state from an expression such as ``"b[5] vac"``, samples its
-wavefunction at uniform random points, and writes a parallel-axes graphic
-(one polyline per sample, colored by the wavefunction value; background-colored
-samples are left out).  A separate mode renders a two-dimensional oscillator
-eigenstate as a scatter chart.
+One pipeline: validate the arguments, draw uniform random sample points, take
+the wavefunction value at each, and write the graphic (and, on request, the
+sample table and the state's occupation terms).  A chain state built
+from an expression such as ``"b[5] vac"`` is drawn as parallel axes (one
+polyline per sample, colored by the wavefunction value; background-colored
+samples are left out); ``--mode2d`` draws a two-dimensional oscillator
+eigenstate as a scatter chart instead.
 
 Exit codes: 0 success, 1 usage or expression error, 2 numeric failure,
 3 I/O failure.  Output files are written atomically, so a failed run never
@@ -21,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .chain import ChainParams, real_mode_basis
+from .chain import ChainParams, _check_oscillator, real_mode_basis
 from .expr import StateExprError, creator_state, evaluate_expr, parse_state_expr, pretty
 from .fock import dump_state
 from .render import render_parallel_axes, render_scatter2d
@@ -35,7 +37,7 @@ from .sampling import (
     sample_oscillator2d,
 )
 
-__all__ = ["PRESETS", "build_arg_parser", "run", "run_oscillator2d", "main"]
+__all__ = ["PRESETS", "build_arg_parser", "main"]
 
 # Named presets for the stock figures.  fig1 is the 2D oscillator; the rest
 # are chain states.  N for fig7/fig8* is a documented choice (11), not a
@@ -112,46 +114,6 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def _write_figure(batch, render, output_path: str, samples_path: str | None,
-                  extra: tuple = ()) -> int:
-    """Check the values, write the figure, the sample table and ``extra``
-    (path, text) pairs, and print the summary line."""
-    if not np.all(np.isfinite(batch.values)):
-        raise ValueError("wavefunction values are not finite")
-    if not np.any(batch.values):
-        raise ValueError("every sampled wavefunction value is zero")
-    _write_atomic(output_path, render(batch))
-    if samples_path is not None:
-        _write_atomic(samples_path, dump_samples(batch))
-    for path, text in extra:
-        _write_atomic(path, text)
-    print(f"n={batch.n_dims} state='{batch.state_label}' samples={batch.spec.sample_count} "
-          f"seed={batch.spec.seed} out={output_path}")
-    return 0
-
-
-def run(chain: ChainParams, ast, spec: RenderSpec, output_path: str,
-        samples_path: str | None = None, state_dump_path: str | None = None) -> int:
-    """Chain pipeline: basis, state, samples, graphic (and optional dumps).
-
-    The state is evaluated in creator form; its occupation terms are
-    expanded only for ``state_dump_path``.
-    """
-    state = creator_state(ast, chain)
-    batch = sample_chain_state(state, real_mode_basis(chain), spec, state_label=pretty(ast))
-    extra = () if state_dump_path is None else (
-        (state_dump_path, dump_state(evaluate_expr(ast, chain))),)
-    return _write_figure(batch, render_parallel_axes, output_path, samples_path, extra)
-
-
-def run_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float,
-                     render: RenderSpec, output_path: str,
-                     samples_path: str | None = None) -> int:
-    """2D oscillator pipeline: sample the (nu1, nu2) eigenstate, write a scatter chart."""
-    batch = sample_oscillator2d(nu1, nu2, mass, kappa, render)
-    return _write_figure(batch, render_scatter2d, output_path, samples_path)
-
-
 def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
@@ -171,8 +133,7 @@ def main(argv=None) -> int:
             nu1, nu2 = (0 if nu is None else nu for nu in (args.nu1, args.nu2))
             if nu1 < 0 or nu2 < 0:
                 raise ValueError(f"quantum numbers must be >= 0, got ({nu1}, {nu2})")
-            if args.mass <= 0 or args.kappa <= 0:
-                raise ValueError("mass and kappa must be positive")
+            _check_oscillator(args.mass, args.kappa)
             window = default_window([math.sqrt(args.kappa / args.mass)], args.mass)
             default_out = f"{args.preset or 'oscillator2d'}.svg"
         else:
@@ -184,7 +145,8 @@ def main(argv=None) -> int:
                 raise ValueError("--state is required (or use a preset)")
             chain = ChainParams(n_sites=args.n, mass=args.mass, kappa=args.kappa, gamma=args.gamma)
             ast = parse_state_expr(args.state, chain.n_sites)
-            window = chain_window(real_mode_basis(chain))
+            basis = real_mode_basis(chain)
+            window = chain_window(basis)
             default_out = f"{args.preset or 'chain'}.svg"
         spec = RenderSpec(
             sample_count=args.samples,
@@ -201,10 +163,24 @@ def main(argv=None) -> int:
 
     try:
         if args.mode2d:
-            return run_oscillator2d(nu1, nu2, args.mass, args.kappa, spec, out,
-                                    samples_path=args.dump_samples)
-        return run(chain, ast, spec, out, samples_path=args.dump_samples,
-                   state_dump_path=args.dump_state)
+            batch = sample_oscillator2d(nu1, nu2, args.mass, args.kappa, spec)
+            render = render_scatter2d
+        else:
+            batch = sample_chain_state(creator_state(ast, chain), basis, spec,
+                                       state_label=pretty(ast))
+            render = render_parallel_axes
+        # occupation terms are expanded only for the dump, before any write
+        state_text = None if args.dump_state is None else dump_state(evaluate_expr(ast, chain))
+        if not np.any(batch.values):
+            raise ValueError("every sampled wavefunction value is zero")
+        _write_atomic(out, render(batch))  # render rejects a non-finite batch
+        if args.dump_samples is not None:
+            _write_atomic(args.dump_samples, dump_samples(batch))
+        if state_text is not None:
+            _write_atomic(args.dump_state, state_text)
+        print(f"n={batch.n_dims} state='{batch.state_label}' samples={spec.sample_count} "
+              f"seed={spec.seed} out={out}")
+        return 0
     except OSError as exc:
         print(f"qchain: i/o error: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, ModeBasis, build_coupling_matrix
+from .chain import ChainParams, ModeBasis, _check_oscillator, build_coupling_matrix
 from .fock import FockState, energy_eigenvalue
 
 __all__ = [
@@ -170,8 +170,7 @@ def evaluate_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float, points)
     """
     if nu1 < 0 or nu2 < 0:
         raise ValueError("quantum numbers must be non-negative")
-    if not (mass > 0 and kappa > 0):
-        raise ValueError(f"mass and kappa must be positive, got {mass} and {kappa}")
+    _check_oscillator(mass, kappa)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"expected points of shape (M, 2), got {points.shape}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,10 @@ def test_params_validation():
         ChainParams(n_sites=3, kappa=-1.0)
     with pytest.raises(ValueError):
         ChainParams(n_sites=3, gamma=-0.1)
+    for name in ("mass", "kappa", "gamma"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+                ChainParams(n_sites=3, **{name: bad})
     # gamma = 0 decouples the sites but stays valid
     assert ChainParams(n_sites=3, gamma=0.0).max_wavenumber == 1
     assert ChainParams(n_sites=15).max_wavenumber == 7

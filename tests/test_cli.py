@@ -147,6 +147,34 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         code = main(argv)
         capsys.readouterr()  # swallow the diagnostics
         assert code == 1, argv
+    # non-finite oscillator parameters are named in the message
+    named = [
+        (["--mode2d", "--mass", "nan"], "mass"),
+        (["--mode2d", "--kappa", "inf"], "kappa"),
+        (["--n", "3", "--state", "vac", "--mass", "inf"], "mass"),
+        (["--n", "3", "--state", "vac", "--kappa", "nan"], "kappa"),
+        (["--n", "3", "--state", "vac", "--gamma", "nan"], "gamma"),
+        (["--n", "3", "--state", "vac", "--gamma", "inf"], "gamma"),
+    ]
+    for argv, name in named:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert f"{name} must be" in err and "finite" in err, (argv, err)
+
+
+def test_chain_run_builds_mode_basis_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return real_mode_basis(params)
+
+    monkeypatch.setattr("qchain.cli.real_mode_basis", counting)
+    assert main(["--n", "3", "--state", "a[1] vac", "--samples", "10",
+                 "--out", str(tmp_path / "b.svg")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_io_error_exits_3(tmp_path, capsys):
@@ -161,11 +189,12 @@ def test_numeric_error_exits_2(tmp_path, capsys):
     # an amplitude of 1e400 overflows to infinity, which the renderer rejects
     out = tmp_path / "x.svg"
     code = main(["--n", "3", "--state", "1e400 vac", "--samples", "10",
-                 "--out", str(out)])
+                 "--out", str(out), "--dump-samples", str(tmp_path / "x.csv"),
+                 "--dump-state", str(tmp_path / "x.txt")])
     err = capsys.readouterr().err
     assert code == 2
     assert "numeric" in err
-    assert not out.exists()  # no partial output
+    assert list(tmp_path.iterdir()) == []  # no figure, no table, no state dump
 
 
 def test_no_partial_file_on_failure(tmp_path, capsys):
@@ -219,11 +248,12 @@ def test_phase_color_mode_flag(tmp_path):
 def test_all_zero_batch_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "zero.svg"
     table = tmp_path / "zero.csv"
-    code = main(argv + ["--out", str(out), "--dump-samples", str(table)])
+    code = main(argv + ["--out", str(out), "--dump-samples", str(table),
+                        "--dump-state", str(tmp_path / "zero.txt")])
     err = capsys.readouterr().err
     assert code == 2
     assert "numeric error" in err
-    assert list(tmp_path.iterdir()) == []  # no figure, no table
+    assert list(tmp_path.iterdir()) == []  # no figure, no table, no state dump
 
 
 def test_long_product_of_operator_sums(tmp_path):

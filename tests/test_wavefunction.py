@@ -199,6 +199,8 @@ def test_oscillator2d_values():
     for mass, kappa in ((0.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
         with pytest.raises(ValueError):
             evaluate_oscillator2d(0, 0, mass, kappa, pts)
+    with pytest.raises(ValueError, match="kappa must be .* finite"):
+        evaluate_oscillator2d(0, 0, 1.0, math.inf, pts)
 
 
 def test_empty_state_evaluates_to_zero():
