@@ -9,8 +9,9 @@ samples are left out); ``--mode2d`` draws a two-dimensional oscillator
 eigenstate as a scatter chart instead.
 
 Exit codes: 0 success, 1 usage or expression error, 2 numeric failure,
-3 I/O failure.  Output files are written atomically, so a failed run never
-leaves a partial file behind.
+3 I/O failure.  Every output text is complete before any file is touched,
+and the files are staged as temp files and renamed into place only once all
+are written, so a failed run leaves no output file.
 """
 
 from __future__ import annotations
@@ -98,19 +99,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_atomic(path: str, text: str):
-    """Write via a temp file in the same directory, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qchain-", suffix=".tmp")
+def _write_atomic(outputs):
+    """Write each (path, text) pair to a temp file in the path's directory, then
+    rename every temp file into place; on any error, remove the temp files."""
+    staged = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qchain-", suffix=".tmp")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp, _ in staged:
+            try:
+                os.unlink(tmp)
+            except OSError:  # already renamed into place
+                pass
         raise
 
 
@@ -173,11 +180,12 @@ def main(argv=None) -> int:
         state_text = None if args.dump_state is None else dump_state(evaluate_expr(ast, chain))
         if not np.any(batch.values):
             raise ValueError("every sampled wavefunction value is zero")
-        _write_atomic(out, render(batch))  # render rejects a non-finite batch
+        outputs = [(out, render(batch))]  # render rejects a non-finite batch
         if args.dump_samples is not None:
-            _write_atomic(args.dump_samples, dump_samples(batch))
+            outputs.append((args.dump_samples, dump_samples(batch)))
         if state_text is not None:
-            _write_atomic(args.dump_state, state_text)
+            outputs.append((args.dump_state, state_text))
+        _write_atomic(outputs)  # every text is complete before any file is written
         print(f"n={batch.n_dims} state='{batch.state_label}' samples={spec.sample_count} "
               f"seed={spec.seed} out={out}")
         return 0

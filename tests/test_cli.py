@@ -185,6 +185,16 @@ def test_io_error_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag", ["--dump-state", "--dump-samples"])
+def test_failed_extra_output_leaves_no_file(tmp_path, capsys, flag):
+    # the figure is staged before the extra output fails; the run leaves neither
+    code = main(["--n", "3", "--state", "vac", "--samples", "10",
+                 "--out", str(tmp_path / "chain.svg"), flag, str(tmp_path / "no" / "such.txt")])
+    assert code == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_numeric_error_exits_2(tmp_path, capsys):
     # an amplitude of 1e400 overflows to infinity, which the renderer rejects
     out = tmp_path / "x.svg"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.fock import apply_create, vacuum
@@ -168,6 +171,53 @@ def test_codec_matches_per_cell_reference(kind):
     assert np.array_equal(back.values.view(np.uint64), values.astype(complex).view(np.uint64))
 
 
+def _table_batch(table, n_dims=3):
+    """A batch whose rows are ``table``: n_dims coordinates, then Re and Im of the value."""
+    table = np.asarray(table, dtype=float)
+    spec = RenderSpec(sample_count=len(table), window=np.finfo(float).max, seed=4)
+    values = np.empty(len(table), complex)
+    values.real, values.imag = table[:, n_dims], table[:, n_dims + 1]  # keeps -0.0 parts
+    return SampleBatch(points=table[:, :n_dims], values=values, spec=spec, state_label="t")
+
+
+def _assert_codec_matches_reference(batch):
+    n_dims = batch.n_dims
+    text = dump_samples(batch)
+    assert text.partition("\n")[2] == _ref_dump_rows(batch)
+    back = load_samples(text)
+    ref_points, ref_values = _ref_load_rows(text, n_dims)
+    assert np.array_equal(back.points.view(np.uint64), ref_points.view(np.uint64))
+    assert np.array_equal(back.values.view(np.uint64), ref_values.view(np.uint64))
+    assert np.array_equal(back.points.view(np.uint64), batch.points.view(np.uint64))
+    assert np.array_equal(back.values.view(np.uint64), batch.values.view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(5)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_codec_matches_per_cell_reference_on_any_finite_table(table):
+    _assert_codec_matches_reference(_table_batch(table))
+
+
+def _edge_cells():
+    ulp = [np.nextafter(v, d) for v in (1e-5, 1e-4, 1e16, 1e17) for d in (0.0, np.inf)]
+    powers = [2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+    cells = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16, 1e17, 1e23,
+             1000000000000000.25, 1000000000000000.75, *ulp, *powers]  # two exact ties
+    cells += [-c for c in cells]
+    return np.array(cells + [0.0] * (-len(cells) % 5))
+
+
+def test_codec_matches_per_cell_reference_on_edges_and_many_chunks():
+    _assert_codec_matches_reference(_table_batch(_edge_cells().reshape(-1, 5)))
+    rng = np.random.default_rng(8)
+    bits = rng.integers(0, 2**64, size=(3000, 17), dtype=np.uint64).view(np.float64)
+    bits[~np.isfinite(bits)] = 0.5
+    uniform = rng.uniform(-3.0, 3.0, size=(3000, 17))
+    # 102000 cells: several chunks of the array kernels
+    _assert_codec_matches_reference(_table_batch(np.concatenate([bits, uniform]), n_dims=15))
+
+
 def test_dump_uses_17_digit_floats():
     params = ChainParams(n_sites=3)
     basis = real_mode_basis(params)
@@ -194,7 +244,11 @@ def test_load_rejects_malformed_tables():
     broken[1] = broken[1] + ",0"
     with pytest.raises(ValueError):
         load_samples("\n".join(broken) + "\n")  # column count mismatch
-    for cell in ("abc", ""):  # a non-numeric cell, an empty cell
+    broken[3] = broken[3].rpartition(",")[0]  # one column too few: the cell total is right
+    with pytest.raises(ValueError, match="row 1: expected 5 columns, got 6"):
+        load_samples("\n".join(broken) + "\n")
+    # a non-numeric cell, an empty cell, and cells whose marks are out of order
+    for cell in ("abc", "", "1.2.3", "1e5e5", "1e+5.5", "--1", "1e+"):
         broken = lines[:]
         broken[2] = ",".join([cell] + broken[2].split(",")[1:])
         with pytest.raises(ValueError):
@@ -219,6 +273,52 @@ def test_load_rejects_malformed_tables():
         table = header.format(n_dims) + "\n" + ",".join(["0.5"] * (n_dims + 2)) + "\n"
         with pytest.raises(ValueError, match="n_dims must be >= 1"):
             load_samples(table)
+
+
+def test_load_reads_what_float_reads():
+    # line ends, a missing final newline and cells float() takes beyond the
+    # canonical form all load as the per-cell reader loads them
+    rng = np.random.default_rng(5)
+    text = dump_samples(_table_batch(rng.uniform(-3.0, 3.0, size=(40, 5))))
+    lines = text.splitlines()
+    for i, cell in enumerate(["+1.5", "1E5", " 1.5", "1_0", "1.5 ", "0001.50", "1e5"]):
+        cells = lines[i + 1].split(",")
+        cells[i % 5] = cell
+        lines[i + 1] = ",".join(cells)
+    for odd in ("\r\n".join(lines) + "\r\n", "\n".join(lines), "\r".join(lines) + "\u2028"):
+        back = load_samples(odd)
+        ref_points, ref_values = _ref_load_rows(odd, 3)
+        assert np.array_equal(back.points.view(np.uint64), ref_points.view(np.uint64))
+        assert np.array_equal(back.values.view(np.uint64), ref_values.view(np.uint64))
+    assert back.points[0, 0] == 1.5 and back.values[3].real == 10.0  # "+1.5", "1_0"
+
+
+@pytest.mark.parametrize("rows", [(10, 20), (3000, 3500)])  # one chunk, two chunks
+def test_load_raises_the_first_error_in_row_order(rows):
+    table = np.random.default_rng(6).uniform(-3.0, 3.0, size=(4000, 5))
+    lines = dump_samples(_table_batch(table)).splitlines()
+    messages = {"cell": "could not convert string to float: 'abc'",
+                "columns": "expected 5 columns, got 6"}
+    for first, second in (("cell", "columns"), ("columns", "cell")):
+        broken = lines[:]
+        for kind, row in zip((first, second), rows):
+            cells = broken[row].split(",")
+            cells = ["abc"] + cells[1:] if kind == "cell" else cells + ["0"]
+            broken[row] = ",".join(cells)
+        with pytest.raises(ValueError) as info:
+            load_samples("\n".join(broken) + "\n")
+        assert messages[first] in str(info.value)
+        if first == "columns":
+            assert str(info.value) == f"row {rows[0]}: expected 5 columns, got 6"
+
+
+def test_dump_rejects_non_finite_cells():
+    table = np.random.default_rng(7).uniform(-1.0, 1.0, size=(4, 5))
+    for row, col, cell in ((1, 0, np.nan), (3, 3, np.inf), (2, 4, -np.inf)):
+        broken = table.copy()
+        broken[row, col] = cell
+        with pytest.raises(ValueError, match=f"row {row + 1}: non-finite cell"):
+            dump_samples(_table_batch(broken))
 
 
 def test_corner_amplitude_negligible_for_decoupled_small_chains():
