@@ -1,6 +1,8 @@
 """Array kernels for the sample-table cells: ``'%.17g' % x`` and ``float(cell)``.
 
-Both directions work on chunks of at most ``_CHUNK`` cells.  A double x is
+Formatting works on chunks of at most ``_CHUNK`` cells and parsing on
+chunks of about ``_TEXT_CHUNK`` characters, cut at row ends, so neither
+copies a whole table or its text.  A double x is
 m * 2**e exactly, and 10**k is held as a double-double (hi + lo) * 2**b that
 integer arithmetic makes correct to 2**-105, so a product of the two carries
 an error far below the rounding step it has to decide.  Each kernel checks
@@ -14,6 +16,7 @@ Dekker's splitting.
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -165,17 +168,19 @@ def _format_chunk(x, sep):
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def format_rows(table: np.ndarray) -> str:
-    """``'%.17g' % x`` for every cell of the finite 2-D ``table``, ',' between
-    the cells of a row and '\\n' after each row."""
-    rows, cols = table.shape
+def format_rows(header: str, *columns: np.ndarray) -> str:
+    """``header``, then ``'%.17g' % x`` for every cell of the finite table
+    ``np.column_stack(columns)``, ',' between the cells of a row and '\\n' after
+    each row.  The table is stacked one chunk of rows at a time."""
+    rows = len(columns[0])
+    cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     step = max(1, _CHUNK // cols)
     sep = np.full(cols, ord(","), np.uint8)
     sep[-1] = ord("\n")
-    parts = []
+    parts = [header]
     with np.errstate(all="ignore"):  # lanes of zeros and of uncertified cells
         for r in range(0, rows, step):
-            chunk = np.ascontiguousarray(table[r:r + step], dtype=np.float64)
+            chunk = np.column_stack([c[r:r + step] for c in columns]).astype(float, copy=False)
             parts.append(_format_chunk(chunk.ravel(), np.tile(sep, len(chunk))))
     return "".join(parts)
 
@@ -184,6 +189,14 @@ def format_rows(table: np.ndarray) -> str:
 
 
 _ZEROS = np.uint64(0x3030303030303030)
+# characters per chunk of text, about 10k cells of '%.17g'.  Chunks twice as
+# large were slower after a dump in the same process: glibc returned each
+# chunk's temporaries to the system, and the next chunk faulted them in again.
+_TEXT_CHUNK = 12 * _CHUNK
+_LINE_ENDS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines splits, besides '\n'
+_LINE_END = re.compile("\r\n|[\n" + _LINE_ENDS + "]")
+_LINE_END_LEADS = np.zeros(256, bool)  # the first UTF-8 byte of each of _LINE_ENDS
+_LINE_END_LEADS[[c.encode()[0] for c in _LINE_ENDS]] = True
 
 
 @functools.cache
@@ -205,41 +218,85 @@ def _eight_digits(w):
     return ((w & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 * 2**32 + 1)) >> np.uint64(32)
 
 
-def parse_rows(rows: list, cols: int) -> np.ndarray:
-    """``float`` of every cell of ``rows``, each ``cols`` cells split by ','.
+def first_line(text: str) -> tuple[str, int]:
+    """The first line of ``text`` as ``str.splitlines`` splits it, and the
+    index at which the next line starts."""
+    end = _LINE_END.search(text)
+    return (text, len(text)) if end is None else (text[:end.start()], end.end())
 
-    Raises the ``ValueError`` a row-by-row ``float`` loop raises first: a
-    row's column count before its cells, rows in order.
+
+def parse_rows(text: str, start: int, n_rows: int, cols: int) -> np.ndarray:
+    """``float`` of every cell of the rows of ``text[start:]``, split into rows
+    where ``str.splitlines`` splits and into ``cols`` cells by ','.
+
+    Raises ``ValueError`` if there are not ``n_rows`` rows, and otherwise the
+    one a row-by-row ``float`` loop raises first: a row's column count before
+    its cells, rows in order.  The text is read one chunk at a time, so beyond
+    the text and the table only chunk-sized arrays are alive.
     """
-    table = np.empty((len(rows), cols))
-    step = max(1, _CHUNK // cols)
+    # a valid row has at least 2 * cols characters, so a table that the text
+    # cannot fill is invalid; its rows past the text's capacity are parsed
+    # into scratch arrays only to find the error
+    table = np.empty((min(n_rows, (len(text) - start + 1) // (2 * cols)), cols))
+    found, error = 0, None
     with np.errstate(all="ignore"):  # lanes of cells left to float()
-        for r in range(0, len(rows), step):
-            _parse_chunk(rows[r:r + step], cols, r, table[r:r + step])
+        while start < len(text):
+            # a chunk ends just after a '\n', which always ends a row
+            end = text.find("\n", start + _TEXT_CHUNK) + 1 or len(text)
+            a, marks, ch = _rows(text[start:end])
+            start = end
+            n = np.count_nonzero(ch == 10)
+            if error is None:
+                out = table[found:found + n] if found + n <= len(table) else np.empty((n, cols))
+                try:
+                    _parse_chunk(a, marks, ch, cols, found, out)
+                except ValueError as exc:
+                    error = exc
+            found += n
+    if found != n_rows:
+        raise ValueError(f"expected {n_rows} rows, found {found}")
+    if error is not None:
+        raise error
     return table
 
 
-def _parse_chunk(rows, cols, first, out):
-    data = ("\n".join(rows) + "\n").encode("utf-8", "surrogatepass")
-    a = np.frombuffer(data, np.uint8)
+def _rows(piece):
+    """(a, marks, ch): the UTF-8 bytes of ``piece`` with every row ended by one
+    '\\n', the positions of their non-digit bytes and those bytes."""
+    a, marks, ch = _marks(np.frombuffer(piece.encode("utf-8", "surrogatepass"), np.uint8))
+    if a[-1] != 10 or _LINE_END_LEADS[ch].any():  # another line end, or none at the end
+        piece = _LINE_END.sub("\n", piece)
+        piece += "" if piece.endswith("\n") else "\n"
+        a, marks, ch = _marks(np.frombuffer(piece.encode("utf-8", "surrogatepass"), np.uint8))
+    return a, marks, ch
+
+
+def _marks(a):
     marks = np.flatnonzero((a - 48) > 9)  # every byte that is not a digit
-    ch = a[marks]
+    return a, marks, a[marks]
+
+
+def _parse_chunk(a, marks, ch, cols, first, out):
+    """Parse the '\\n'-ended rows of the bytes ``a`` into ``out``; ``first`` is
+    the index of their first row in the table."""
     is_sep = (ch == 44) | (ch == 10)
     seps = np.flatnonzero(is_sep)
     newline = ch[seps] == 10
-    # rows hold no '\n': when every cols-th separator is one, each row has cols cells
-    if seps.size != len(rows) * cols or not newline[cols - 1::cols].all():
+    # len(out) rows: when every cols-th of len(out) * cols separators is a
+    # '\n', each row has cols cells
+    if seps.size != len(out) * cols or not newline[cols - 1::cols].all():
+        ends = marks[seps[newline]]
         counts = np.diff(np.flatnonzero(newline), prepend=-1)
         r = int(np.flatnonzero(counts != cols)[0])
-        if r:
-            _parse_chunk(rows[:r], cols, first, out[:r])
+        if r:  # a bad cell in an earlier row comes first
+            _parse_chunk(*_marks(a[:ends[r - 1] + 1]), cols, first, out[:r])
         raise ValueError(f"row {first + r + 1}: expected {cols} columns, got {counts[r]}")
     other = np.flatnonzero(~is_sep)
     cell = other - np.arange(other.size)  # separators before each mark
-    out[:] = _parse_cells(a, data, marks[seps], marks[other], ch[other], cell).reshape(-1, cols)
+    out[:] = _parse_cells(a, marks[seps], marks[other], ch[other], cell).reshape(-1, cols)
 
 
-def _parse_cells(a, data, ends, pos, ch, cell):
+def _parse_cells(a, ends, pos, ch, cell):
     """Values of the cells ending at the separators ``ends``.
 
     ``pos``, ``ch`` and ``cell`` give the position, byte and cell of every
@@ -317,5 +374,5 @@ def _parse_cells(a, data, ends, pos, ch, cell):
         result[good] = bits.view(np.float64)
         bad[good[~ok]] = True
     for i in np.flatnonzero(bad):  # in cell order, so the first error is the first bad cell
-        result[i] = float(data[starts[i]:ends[i]].decode("utf-8", "surrogatepass"))
+        result[i] = float(a[starts[i]:ends[i]].tobytes().decode("utf-8", "surrogatepass"))
     return result

@@ -164,6 +164,10 @@ def main(argv=None) -> int:
             height=args.height,
         )
         out = default_out if args.out is None else args.out
+        for flag, path in (("--out", out), ("--dump-samples", args.dump_samples),
+                           ("--dump-state", args.dump_state)):
+            if path == "":
+                raise ValueError(f"{flag} needs a file path, got an empty one")
     except (StateExprError, ValueError) as exc:
         print(f"qchain: error: {exc}", file=sys.stderr)
         return 1

@@ -13,10 +13,18 @@ chunks of cells with exact integer and double-double arithmetic; a cell
 whose rounding they cannot certify, or whose text is not in the canonical
 form, goes through the per-cell Python call, so the bytes and bits are
 those of the per-cell codec.
+
+Both directions work in bounded memory.  ``load_samples`` holds the text,
+one (M, N+2) float table and temporaries the size of one chunk of the text;
+it never splits the whole text into lines.  ``dump_samples`` formats one
+chunk of rows at a time straight from the points and values, and joins the
+header and the chunks' text once, so it holds about twice the table text
+and no copy of the samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +69,8 @@ class RenderSpec:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if not self.window > 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+        if not 0 < self.window < math.inf:
+            raise ValueError(f"window must be positive and finite, got {self.window}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if self.color_mode not in COLOR_MODES:
@@ -151,17 +159,18 @@ def dump_samples(batch: SampleBatch) -> str:
     )
     from ._tablecodec import format_rows  # on first use: compiling it costs ~5 ms
 
-    table = np.column_stack([batch.points, batch.values.real, batch.values.imag])
-    return header + format_rows(table)
+    return format_rows(header, batch.points, batch.values.real, batch.values.imag)
 
 
 def load_samples(text: str) -> SampleBatch:
     """Parse a sample table back into a batch (inverse of :func:`dump_samples`)."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# qchain-samples v1, "):
+    from ._tablecodec import first_line, parse_rows  # on first use: compiling it costs ~5 ms
+
+    header, start = first_line(text)
+    if not header.startswith("# qchain-samples v1, "):
         raise ValueError("not a qchain sample table")
     meta = {}
-    body = lines[0][len("# qchain-samples v1, "):]
+    body = header[len("# qchain-samples v1, "):]
     # state=... is last and parsed greedily: its value may contain commas.
     head, sep, state_label = body.partition(", state=")
     if not sep:
@@ -185,12 +194,7 @@ def load_samples(text: str) -> SampleBatch:
         raise ValueError(f"sample table header has no {exc.args[0]}= field") from None
     if n_dims < 1:
         raise ValueError(f"n_dims must be >= 1, got {n_dims}")
-    rows = lines[1:]
-    if len(rows) != spec.sample_count:
-        raise ValueError(f"expected {spec.sample_count} rows, found {len(rows)}")
-    from ._tablecodec import parse_rows  # on first use: compiling it costs ~5 ms
-
-    table = parse_rows(rows, n_dims + 2)
+    table = parse_rows(text, start, spec.sample_count, n_dims + 2)
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise ValueError(f"row {bad[0] + 1}: non-finite cell")

@@ -163,6 +163,23 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert f"{name} must be" in err and "finite" in err, (argv, err)
 
 
+@pytest.mark.parametrize("flag, value", [("--out", ""), ("--dump-samples", ""),
+                                         ("--dump-state", ""), ("--window", "inf"),
+                                         ("--window", "nan")])
+def test_empty_path_or_non_finite_window_exits_1_before_sampling(flag, value, tmp_path,
+                                                                 monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qchain.cli.sample_chain_state", no_sampling)
+    code = main(["--n", "3", "--state", "vac", "--samples", "10", flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "qchain: error:" in err and flag.lstrip("-") in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_chain_run_builds_mode_basis_once(tmp_path, monkeypatch, capsys):
     calls = []
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,78 @@ def test_dump_rejects_non_finite_cells():
         broken[row, col] = cell
         with pytest.raises(ValueError, match=f"row {row + 1}: non-finite cell"):
             dump_samples(_table_batch(broken))
+
+
+def test_non_finite_window_is_rejected():
+    for window in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            RenderSpec(window=window)
+    text = dump_samples(_table_batch(np.full((2, 5), 0.5)))
+    with pytest.raises(ValueError, match="window must be positive and finite"):
+        load_samples(text.replace(f"window={np.finfo(float).max:.17g}", "window=inf"))
+
+
+_LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_load_splits_rows_like_splitlines_across_chunks():
+    # 8000 x 5 cells span several of the chunks the loader reads the text in
+    text = dump_samples(_table_batch(np.random.default_rng(9).uniform(-3.0, 3.0, size=(8000, 5))))
+    lines = text.splitlines()
+    mixed = "".join(line + _LINE_ENDS[i % len(_LINE_ENDS)] for i, line in enumerate(lines))
+    for odd in ("\r\n".join(lines) + "\r\n", "\r".join(lines) + "\r", "\u2028".join(lines),
+                "\n".join(lines), mixed):
+        back = load_samples(odd)
+        ref_points, ref_values = _ref_load_rows(odd, 3)
+        assert np.array_equal(back.points.view(np.uint64), ref_points.view(np.uint64))
+        assert np.array_equal(back.values.view(np.uint64), ref_values.view(np.uint64))
+
+
+def test_load_checks_the_row_count_first():
+    text = dump_samples(_table_batch(np.random.default_rng(10).uniform(-3.0, 3.0, size=(8000, 5))))
+    lines = text.splitlines()
+    lines[3] = "abc" + lines[3][lines[3].index(","):]  # a bad cell in the first chunk
+    for rows, found in ((lines[:-1], 7999), (lines + lines[5:6], 8001)):
+        with pytest.raises(ValueError, match=f"^expected 8000 rows, found {found}$"):
+            load_samples("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="^expected 1000000000000000 rows, found 3$"):
+        load_samples("\n".join(lines[:4]).replace("samples=8000", "samples=1000000000000000"))
+    # too little text for a valid table of this many rows: the first bad cell is named
+    short = "\n".join(lines[:1] + [",,,,", ",,,,"]).replace("samples=8000", "samples=2")
+    with pytest.raises(ValueError, match="^could not convert string to float: ''$"):
+        load_samples(short)
+
+
+@pytest.fixture(scope="module")
+def vacuum_table_n101():
+    """A 20000-row table of the N=101 vacuum, about 40 MB of text."""
+    params = ChainParams(n_sites=101)
+    basis = real_mode_basis(params)
+    spec = RenderSpec(sample_count=20000, window=chain_window(basis), seed=3)
+    batch = sample_chain_state(vacuum(params), basis, spec, state_label="vac")
+    return batch, dump_samples(batch)
+
+
+def _peak_bytes(call, arg):
+    """Peak memory that ``call(arg)`` allocates, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        call(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_memory_stays_below_the_text_size(vacuum_table_n101):
+    # the table (0.41x the text) plus chunk-sized temporaries
+    _, text = vacuum_table_n101
+    assert _peak_bytes(load_samples, text) < 1.0 * len(text)
+
+
+def test_dump_memory_is_the_text_and_its_parts(vacuum_table_n101):
+    # the chunks' text and the one join of them: 2x the text, no table copy
+    batch, text = vacuum_table_n101
+    assert _peak_bytes(dump_samples, batch) < 2.15 * len(text)
 
 
 def test_corner_amplitude_negligible_for_decoupled_small_chains():
