@@ -7,16 +7,17 @@ m * 2**e exactly, and 10**k is held as a double-double (hi + lo) * 2**b that
 integer arithmetic makes correct to 2**-105, so a product of the two carries
 an error far below the rounding step it has to decide.  Each kernel checks
 that margin per cell and leaves a cell it cannot certify, or whose text it
-does not recognise, to the per-cell Python call.  The text and the bits are
-therefore those of ``'%.17g' % x`` and ``float(cell)``; the kernels only make
-them faster.  numpy has no fused multiply-add, so exact products use
-Dekker's splitting.
+does not recognise, to the per-cell Python call.  A chunk with a row that
+does not end in '\\n' or has the wrong number of cells goes to a row loop of
+``str.splitlines``, ``str.split`` and ``float`` instead.  The text and the
+bits are therefore those of ``'%.17g' % x`` and ``float(cell)``; the kernels
+only make them faster.  numpy has no fused multiply-add, so exact products
+use Dekker's splitting.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -194,7 +195,6 @@ _ZEROS = np.uint64(0x3030303030303030)
 # chunk's temporaries to the system, and the next chunk faulted them in again.
 _TEXT_CHUNK = 12 * _CHUNK
 _LINE_ENDS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines splits, besides '\n'
-_LINE_END = re.compile("\r\n|[\n" + _LINE_ENDS + "]")
 _LINE_END_LEADS = np.zeros(256, bool)  # the first UTF-8 byte of each of _LINE_ENDS
 _LINE_END_LEADS[[c.encode()[0] for c in _LINE_ENDS]] = True
 
@@ -221,8 +221,10 @@ def _eight_digits(w):
 def first_line(text: str) -> tuple[str, int]:
     """The first line of ``text`` as ``str.splitlines`` splits it, and the
     index at which the next line starts."""
-    end = _LINE_END.search(text)
-    return (text, len(text)) if end is None else (text[:end.start()], end.end())
+    # '\n' always ends a line, and a '\r' before it belongs to the same one
+    head = text[:text.find("\n") + 1 or len(text)]
+    line = head.splitlines(keepends=True)[0] if head else ""
+    return line.rstrip("\n" + _LINE_ENDS), len(line)
 
 
 def parse_rows(text: str, start: int, n_rows: int, cols: int) -> np.ndarray:
@@ -243,13 +245,19 @@ def parse_rows(text: str, start: int, n_rows: int, cols: int) -> np.ndarray:
         while start < len(text):
             # a chunk ends just after a '\n', which always ends a row
             end = text.find("\n", start + _TEXT_CHUNK) + 1 or len(text)
-            a, marks, ch = _rows(text[start:end])
+            piece = text[start:end]
             start = end
-            n = np.count_nonzero(ch == 10)
+            a = np.frombuffer(piece.encode("utf-8", "surrogatepass"), np.uint8)
+            marks = np.flatnonzero((a - 48) > 9)  # every byte that is not a digit
+            ch = a[marks]
+            # the kernel reads rows that each end in '\n'
+            plain = a[-1] == 10 and not _LINE_END_LEADS[ch].any()
+            n = np.count_nonzero(ch == 10) if plain else len(piece.splitlines())
             if error is None:
                 out = table[found:found + n] if found + n <= len(table) else np.empty((n, cols))
                 try:
-                    _parse_chunk(a, marks, ch, cols, found, out)
+                    if not (plain and _parse_chunk(a, marks, ch, out)):
+                        _parse_lines(piece, found, out)
                 except ValueError as exc:
                     error = exc
             found += n
@@ -260,40 +268,32 @@ def parse_rows(text: str, start: int, n_rows: int, cols: int) -> np.ndarray:
     return table
 
 
-def _rows(piece):
-    """(a, marks, ch): the UTF-8 bytes of ``piece`` with every row ended by one
-    '\\n', the positions of their non-digit bytes and those bytes."""
-    a, marks, ch = _marks(np.frombuffer(piece.encode("utf-8", "surrogatepass"), np.uint8))
-    if a[-1] != 10 or _LINE_END_LEADS[ch].any():  # another line end, or none at the end
-        piece = _LINE_END.sub("\n", piece)
-        piece += "" if piece.endswith("\n") else "\n"
-        a, marks, ch = _marks(np.frombuffer(piece.encode("utf-8", "surrogatepass"), np.uint8))
-    return a, marks, ch
+def _parse_lines(piece, first, out):
+    """The row loop: parse the rows of ``piece`` into ``out``, or raise the
+    first error; ``first`` is the index of their first row in the table."""
+    cols = out.shape[1]
+    for i, line in enumerate(piece.splitlines()):
+        cells = line.split(",")
+        if len(cells) != cols:
+            raise ValueError(f"row {first + i + 1}: expected {cols} columns, got {len(cells)}")
+        out[i] = [float(cell) for cell in cells]
 
 
-def _marks(a):
-    marks = np.flatnonzero((a - 48) > 9)  # every byte that is not a digit
-    return a, marks, a[marks]
-
-
-def _parse_chunk(a, marks, ch, cols, first, out):
-    """Parse the '\\n'-ended rows of the bytes ``a`` into ``out``; ``first`` is
-    the index of their first row in the table."""
+def _parse_chunk(a, marks, ch, out):
+    """Parse the '\\n'-ended rows of the bytes ``a``, whose non-digit bytes
+    ``ch`` sit at ``marks``, into ``out``; False if a row has not
+    ``out.shape[1]`` cells."""
+    cols = out.shape[1]
     is_sep = (ch == 44) | (ch == 10)
     seps = np.flatnonzero(is_sep)
-    newline = ch[seps] == 10
     # len(out) rows: when every cols-th of len(out) * cols separators is a
     # '\n', each row has cols cells
-    if seps.size != len(out) * cols or not newline[cols - 1::cols].all():
-        ends = marks[seps[newline]]
-        counts = np.diff(np.flatnonzero(newline), prepend=-1)
-        r = int(np.flatnonzero(counts != cols)[0])
-        if r:  # a bad cell in an earlier row comes first
-            _parse_chunk(*_marks(a[:ends[r - 1] + 1]), cols, first, out[:r])
-        raise ValueError(f"row {first + r + 1}: expected {cols} columns, got {counts[r]}")
+    if seps.size != out.size or not (ch[seps[cols - 1::cols]] == 10).all():
+        return False
     other = np.flatnonzero(~is_sep)
     cell = other - np.arange(other.size)  # separators before each mark
     out[:] = _parse_cells(a, marks[seps], marks[other], ch[other], cell).reshape(-1, cols)
+    return True
 
 
 def _parse_cells(a, ends, pos, ch, cell):

@@ -15,11 +15,11 @@ form, goes through the per-cell Python call, so the bytes and bits are
 those of the per-cell codec.
 
 Both directions work in bounded memory.  ``load_samples`` holds the text,
-one (M, N+2) float table and temporaries the size of one chunk of the text;
-it never splits the whole text into lines.  ``dump_samples`` formats one
-chunk of rows at a time straight from the points and values, and joins the
-header and the chunks' text once, so it holds about twice the table text
-and no copy of the samples.
+one (M, N+2) float table and temporaries the size of one chunk of the text.
+Chunks are cut after a '\\n', so a table with no '\\n' line ends is one
+chunk.  ``dump_samples`` formats one chunk of rows at a time straight from
+the points and values, and joins the header and the chunks' text once, so
+it holds about twice the table text and no copy of the samples.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "RenderSpec",
     "SampleBatch",
     "default_window",
+    "chain_window",
     "draw_samples",
     "sample_chain_state",
     "sample_oscillator2d",

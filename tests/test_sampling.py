@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qchain import _tablecodec
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.fock import apply_create, vacuum
 from qchain.sampling import (
@@ -335,17 +336,32 @@ def test_non_finite_window_is_rejected():
 _LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
-def test_load_splits_rows_like_splitlines_across_chunks():
+def test_load_splits_rows_like_splitlines_across_chunks(monkeypatch):
     # 8000 x 5 cells span several of the chunks the loader reads the text in
     text = dump_samples(_table_batch(np.random.default_rng(9).uniform(-3.0, 3.0, size=(8000, 5))))
     lines = text.splitlines()
     mixed = "".join(line + _LINE_ENDS[i % len(_LINE_ENDS)] for i, line in enumerate(lines))
-    for odd in ("\r\n".join(lines) + "\r\n", "\r".join(lines) + "\r", "\u2028".join(lines),
+    parse_lines, row_loop = _tablecodec._parse_lines, []
+
+    def counted(piece, *args):
+        row_loop.append(piece)
+        return parse_lines(piece, *args)
+
+    monkeypatch.setattr(_tablecodec, "_parse_lines", counted)
+    for odd in (text, "\r\n".join(lines) + "\r\n", "\r".join(lines) + "\r", "\u2028".join(lines),
                 "\n".join(lines), mixed):
+        row_loop.clear()
         back = load_samples(odd)
         ref_points, ref_values = _ref_load_rows(odd, 3)
         assert np.array_equal(back.points.view(np.uint64), ref_points.view(np.uint64))
         assert np.array_equal(back.values.view(np.uint64), ref_values.view(np.uint64))
+        # only a chunk with another line end, or without a final '\n', takes the row loop
+        if odd == text:
+            assert row_loop == []
+        elif odd == "\n".join(lines):
+            assert len(row_loop) == 1 and odd.endswith(row_loop[0])
+        else:
+            assert "".join(row_loop) == odd[_tablecodec.first_line(odd)[1]:]
 
 
 def test_load_checks_the_row_count_first():
