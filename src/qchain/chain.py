@@ -32,6 +32,7 @@ __all__ = [
     "ModeBasis",
     "mode_indices",
     "mode_profile",
+    "creator_vector",
     "build_coupling_matrix",
     "mode_spectrum",
     "real_mode_basis",
@@ -76,29 +77,25 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Spectrum and real orthonormal mode basis of a chain.
+    """Real orthonormal mode basis of a chain and its mode frequencies.
 
     Attributes
     ----------
     params : ChainParams
         The chain this basis belongs to.
-    omegas : ndarray, shape (N,)
-        Eigenvalues of the coupling matrix, ordered by wave number
-        k = -(N-1)/2 .. (N-1)/2.  Dimensionally a stiffness.
     basis : ndarray, shape (N, N)
         Orthonormal matrix; column for wave number k holds the real mode
         profile over sites 1..N.  Rows are sites, columns are modes, columns
-        ordered by ascending k (same order as ``omegas``).
+        ordered by ascending k = -(N-1)/2 .. (N-1)/2.
     frequencies : ndarray, shape (N,)
-        Angular frequencies Omega_k = sqrt(omegas / mass) of the decoupled
-        oscillators, same ordering.
+        Angular frequencies Omega_k = sqrt(omega_k / mass) of the decoupled
+        oscillators, same ordering, with omega_k from :func:`mode_spectrum`.
 
     All arrays are read-only; instances are immutable and safe to share
     between concurrent evaluation tasks.
     """
 
     params: ChainParams
-    omegas: np.ndarray
     basis: np.ndarray
     frequencies: np.ndarray
 
@@ -112,14 +109,27 @@ def mode_indices(params: ChainParams) -> np.ndarray:
 def mode_profile(n_sites: int, site: int) -> np.ndarray:
     """Values of every real mode at one 1-based site, ordered by wave number.
 
-    This is a row of the mode basis matrix.  It depends only on the site
-    count, not on mass or stiffness.
+    This is a row of the mode basis matrix, and the creator vector of
+    ``b[site]``.  It depends only on the site count, not on mass or stiffness.
     """
-    if not 1 <= site <= n_sites:
-        raise ValueError(f"site must be in 1..{n_sites}, got {site}")
+    return creator_vector(n_sites, "b", site)
+
+
+def creator_vector(n_sites: int, kind: str, index: int) -> np.ndarray:
+    """Mode-space vector of ``a[index]`` (kind "a"), the unit vector of that wave
+    number, or of ``b[index]`` (kind "b"), the mode profile at that 1-based site.
+    """
+    name = "wave number" if kind == "a" else "site"
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {index!r}")
     h = (n_sites - 1) // 2
-    k = np.arange(-h, h + 1)
-    theta = 2.0 * np.pi * k * site / n_sites
+    if kind == "a":
+        if not -h <= index <= h:
+            raise ValueError(f"wave number {index} out of range -{h}..{h} for {n_sites} sites")
+        return (np.arange(n_sites) == index + h).astype(float)
+    if not 1 <= index <= n_sites:
+        raise ValueError(f"site {index} out of range 1..{n_sites}")
+    theta = 2.0 * np.pi * np.arange(-h, h + 1) * index / n_sites
     return (np.cos(theta) + np.sin(theta)) / np.sqrt(n_sites)
 
 
@@ -152,14 +162,10 @@ def mode_spectrum(params: ChainParams) -> np.ndarray:
 
 
 def real_mode_basis(params: ChainParams) -> ModeBasis:
-    """Diagonalize the chain: spectrum, real orthonormal mode basis, frequencies."""
-    n = params.n_sites
-    basis = np.empty((n, n))
-    for j in range(n):
-        basis[j, :] = mode_profile(n, j + 1)
-    omegas = mode_spectrum(params)
-    frequencies = np.sqrt(omegas / params.mass)
-    for arr in (omegas, basis, frequencies):
+    """Diagonalize the chain: real orthonormal mode basis and mode frequencies."""
+    basis = np.array([mode_profile(params.n_sites, site) for site in range(1, params.n_sites + 1)])
+    frequencies = np.sqrt(mode_spectrum(params) / params.mass)
+    for arr in (basis, frequencies):
         arr.setflags(write=False)
-    return ModeBasis(params=params, omegas=omegas, basis=basis, frequencies=frequencies)
+    return ModeBasis(params=params, basis=basis, frequencies=frequencies)
 

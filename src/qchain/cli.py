@@ -25,8 +25,8 @@ import tempfile
 import numpy as np
 
 from .chain import ChainParams, _check_oscillator, real_mode_basis
-from .expr import StateExprError, creator_state, evaluate_expr, parse_state_expr, pretty
-from .fock import dump_state
+from .expr import StateExprError, build_state
+from .fock import dump_state, expand_state
 from .render import render_parallel_axes, render_scatter2d
 from .sampling import (
     COLOR_MODES,
@@ -75,7 +75,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, help="number of chain sites (odd)")
     parser.add_argument("--mass", type=float, default=1.0, help="site mass m (default 1)")
     parser.add_argument("--kappa", type=float, default=1.0, help="on-site stiffness (default 1)")
-    parser.add_argument("--gamma", type=float, default=1.0, help="neighbor coupling (default 1)")
+    parser.add_argument("--gamma", type=float, help="neighbor coupling, chains only (default 1)")
     parser.add_argument("--state", help="state expression, e.g. 'a[0] a[0] vac'")
     parser.add_argument("--samples", type=int, default=20000,
                         help="number of sample points (default 20000)")
@@ -133,8 +133,8 @@ def main(argv=None) -> int:
 
     try:
         if args.mode2d:
-            if args.n is not None or args.state is not None:
-                raise ValueError("--mode2d takes --nu1/--nu2, not --n or --state")
+            if args.n is not None or args.state is not None or args.gamma is not None:
+                raise ValueError("--mode2d takes --nu1/--nu2, not --n, --state or --gamma")
             if args.dump_state is not None:
                 raise ValueError("--dump-state applies only to chain states")
             nu1, nu2 = (0 if nu is None else nu for nu in (args.nu1, args.nu2))
@@ -150,8 +150,9 @@ def main(argv=None) -> int:
                 raise ValueError("--n is required (or use a preset)")
             if args.state is None:
                 raise ValueError("--state is required (or use a preset)")
-            chain = ChainParams(n_sites=args.n, mass=args.mass, kappa=args.kappa, gamma=args.gamma)
-            ast = parse_state_expr(args.state, chain.n_sites)
+            gamma = 1.0 if args.gamma is None else args.gamma
+            chain = ChainParams(n_sites=args.n, mass=args.mass, kappa=args.kappa, gamma=gamma)
+            state, label = build_state(args.state, chain)
             basis = real_mode_basis(chain)
             window = chain_window(basis)
             default_out = f"{args.preset or 'chain'}.svg"
@@ -177,11 +178,10 @@ def main(argv=None) -> int:
             batch = sample_oscillator2d(nu1, nu2, args.mass, args.kappa, spec)
             render = render_scatter2d
         else:
-            batch = sample_chain_state(creator_state(ast, chain), basis, spec,
-                                       state_label=pretty(ast))
+            batch = sample_chain_state(state, basis, spec, state_label=label)
             render = render_parallel_axes
         # occupation terms are expanded only for the dump, before any write
-        state_text = None if args.dump_state is None else dump_state(evaluate_expr(ast, chain))
+        state_text = None if args.dump_state is None else dump_state(expand_state(state))
         if not np.any(batch.values):
             raise ValueError("every sampled wavefunction value is zero")
         outputs = [(out, render(batch))]  # render rejects a non-finite batch
@@ -200,6 +200,3 @@ def main(argv=None) -> int:
         print(f"qchain: numeric error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

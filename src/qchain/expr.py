@@ -17,10 +17,9 @@ ultimately apply its operators to ``vac``.
 
 Parsing reports syntax errors, out-of-range indices, and type errors (for
 instance adding a scalar to a state) with a character position.  One walk
-of the tree gives :func:`creator_state`: creator vectors in mode space and
-monomials over them, what :func:`build_state` returns and evaluation uses.
-:func:`evaluate_expr` expands that creator form into occupation-number
-terms, for ``--dump-state``, norms and inner products.
+of the tree gives :func:`creator_state`, a :class:`~qchain.fock.CreatorState`;
+:func:`build_state` tokenizes and walks its source once.  Index rules and
+creator vectors come from :func:`~qchain.chain.creator_vector`.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainParams, mode_profile
-from .fock import FockState, apply_creator, linear_combine, vacuum
-from .wavefunction import CreatorState
+from .chain import ChainParams, creator_vector
+from .fock import CreatorState, FockState, expand_state
 
 __all__ = [
     "StateExprError",
@@ -111,12 +109,9 @@ def _tokenize(src: str):
                 break
             at = len(src) - len(stripped)
             raise StateExprError(f"unexpected character {stripped[0]!r}", at)
-        if match.lastgroup == "num":
-            tokens.append(("num", match.group("num"), match.start("num")))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name"), match.start("name")))
-        else:
-            tokens.append((match.group("punct"), match.group("punct"), match.start("punct")))
+        group = match.lastgroup  # the kind of a punctuation token is its text
+        text = match.group(group)
+        tokens.append((text if group == "punct" else group, text, match.start(group)))
         pos = match.end()
     tokens.append(("end", "", len(src)))
     return tokens
@@ -168,7 +163,8 @@ class _Parser:
         factors = term.factors if isinstance(term, Product) else (term,)
         return Product((Scalar(-1.0 + 0.0j, pos=term.pos),) + factors, pos=term.pos)
 
-    # term := factor+
+    # term := factor+; a parenthesized product is spliced into the enclosing
+    # one, as pretty prints it, so the printed text parses back to the same tree
     def parse_term(self):
         start = self.peek()[2]
         factors = [self.parse_factor()]
@@ -176,7 +172,8 @@ class _Parser:
             factors.append(self.parse_factor())
         if len(factors) == 1:
             return factors[0]
-        return Product(tuple(factors), pos=start)
+        flat = [g for f in factors for g in (f.factors if isinstance(f, Product) else (f,))]
+        return Product(tuple(flat), pos=start)
 
     def parse_factor(self):
         kind, text, pos = self.take()
@@ -226,13 +223,10 @@ def _walk(node, params: ChainParams):
     if isinstance(node, Scalar):
         return _SCALAR, node.value
     if isinstance(node, Create):
-        h = params.max_wavenumber
-        if node.kind == "a" and not -h <= node.index <= h:
-            raise StateExprError(
-                f"wave number {node.index} out of range -{h}..{h} for {params.n_sites} sites",
-                node.pos)
-        if node.kind == "b" and not 1 <= node.index <= params.n_sites:
-            raise StateExprError(f"site {node.index} out of range 1..{params.n_sites}", node.pos)
+        try:
+            creator_vector(params.n_sites, node.kind, node.index)
+        except ValueError as exc:
+            raise StateExprError(str(exc), node.pos) from None
         return _OP, {((node.kind, node.index),): 1.0}
     if isinstance(node, Vac):
         return _STATE, {(): 1.0}
@@ -282,9 +276,20 @@ def _poly_product(left, right) -> dict:
 def _state_poly(node, params: ChainParams) -> dict:
     kind, poly = _walk(node, params)
     if kind != _STATE:
-        raise StateExprError("expression must apply its operators to 'vac'",
-                             getattr(node, "pos", 0))
+        raise StateExprError("expression must apply its operators to 'vac'", node.pos)
     return poly
+
+
+def _parse(src: str):
+    """The AST of ``src``; raises :class:`StateExprError` on syntax errors only."""
+    if not src or not src.strip():
+        raise StateExprError("empty expression", 0)
+    parser = _Parser(_tokenize(src))
+    ast = parser.parse_expr()
+    trailing = parser.peek()
+    if trailing[0] != "end":
+        raise StateExprError(f"unexpected {trailing[1]!r} after expression", trailing[2])
+    return ast
 
 
 def parse_state_expr(src: str, n_sites: int):
@@ -294,15 +299,8 @@ def parse_state_expr(src: str, n_sites: int):
     position on syntax errors, out-of-range indices, or expressions that do
     not produce a state (e.g. an operator chain with no ``vac``).
     """
-    if not src or not src.strip():
-        raise StateExprError("empty expression", 0)
-    params = ChainParams(n_sites=n_sites)
-    parser = _Parser(_tokenize(src))
-    ast = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing[0] != "end":
-        raise StateExprError(f"unexpected {trailing[1]!r} after expression", trailing[2])
-    _state_poly(ast, params)  # index ranges and kinds
+    ast = _parse(src)
+    _state_poly(ast, ChainParams(n_sites=n_sites))  # index ranges and kinds
     return ast
 
 
@@ -366,11 +364,9 @@ def pretty(node) -> str:
 
 def _vector(creator, n_sites: int) -> np.ndarray:
     kind, arg = creator
-    if kind == "a":
-        return (np.arange(n_sites) == arg + n_sites // 2).astype(float)
-    if kind == "b":
-        return mode_profile(n_sites, arg)
-    return sum(coeff * _vector(term, n_sites) for coeff, term in arg)
+    if kind == "+":
+        return sum(coeff * _vector(term, n_sites) for coeff, term in arg)
+    return creator_vector(n_sites, kind, arg)
 
 
 def creator_state(node, params: ChainParams) -> CreatorState:
@@ -390,22 +386,12 @@ def creator_state(node, params: ChainParams) -> CreatorState:
 
 
 def evaluate_expr(node, params: ChainParams) -> FockState:
-    """Expand a parsed expression's creator form into occupation-number terms.
-
-    Each monomial applies its creator vectors to ``vac``, last row first.
-    """
-    state = creator_state(node, params)
-    pairs = []
-    for coeff, mult in state.monomials:
-        fock = vacuum(params)
-        for vector, m in reversed(list(zip(state.vectors, mult))):
-            for _ in range(m):
-                fock = apply_creator(fock, vector)
-        pairs.append((coeff, fock))
-    return linear_combine(pairs) if pairs else FockState(params, {})
+    """A parsed expression's state in occupation-number terms: the
+    :func:`~qchain.fock.expand_state` of its :func:`creator_state`."""
+    return expand_state(creator_state(node, params))
 
 
 def build_state(src: str, params: ChainParams):
-    """Parse in one step; returns (:func:`creator_state`, canonical label)."""
-    ast = parse_state_expr(src, params.n_sites)
+    """Parse and walk ``src`` once; returns (:func:`creator_state`, canonical label)."""
+    ast = _parse(src)
     return creator_state(ast, params), pretty(ast)

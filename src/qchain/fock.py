@@ -1,13 +1,13 @@
-"""Occupation-number states of the chain and the operators that build them.
+"""Chain states in their two forms, and the operators that build them.
 
-A state is a finite complex-linear combination of occupation-number basis
-states.  Each basis state is a tuple of quantum numbers, one per wave number
-in the canonical mode order, and the basis is orthonormal.  Every creator is
-a vector c in mode space, the operator sum_k c_k a^+_k: ``a[k]`` is the unit
-vector of mode k and ``b[n]`` the mode profile at site n.  One kernel,
-:func:`apply_creator`, applies any such vector with the normalized ladder
-convention (factor sqrt(nu+1)), so norms and inner products are meaningful.
-
+Every creator is a vector c in mode space, the operator sum_k c_k a^+_k
+(:func:`~qchain.chain.creator_vector`).  A :class:`CreatorState` is a sum of
+monomials over creator vectors, the form expressions build and evaluation
+uses.  A :class:`FockState` is a finite complex-linear combination of
+orthonormal occupation-number basis states, each a tuple of quantum numbers
+by ascending wave number.  :func:`apply_creator` applies any creator with the
+normalized ladder convention (factor sqrt(nu+1)), so norms and inner products
+are meaningful; :func:`expand_state` turns a CreatorState into a FockState.
 States are immutable; every operation returns a new state.
 """
 
@@ -18,20 +18,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainParams, ModeBasis, mode_profile
+from .chain import ChainParams, ModeBasis, creator_vector
 
 __all__ = [
+    "CreatorState",
     "FockState",
     "vacuum",
     "apply_creator",
     "apply_create",
     "apply_create_local",
     "linear_combine",
+    "expand_state",
     "inner_product",
     "norm",
     "energy_eigenvalue",
     "dump_state",
 ]
+
+
+@dataclass(frozen=True)
+class CreatorState:
+    """A chain state as a sum of products of creators applied to the vacuum.
+
+    ``vectors`` holds one distinct creator per row, in mode space (columns
+    by ascending wave number).  ``monomials`` is a tuple of (coefficient,
+    multiplicities), one multiplicity per row; the state is the sum of
+    coefficient * prod_j (c_j.a^+)^m_j vac.
+    """
+
+    params: ChainParams
+    vectors: np.ndarray  # (p, N), real or complex
+    monomials: tuple
+
+    def __eq__(self, other):
+        if not isinstance(other, CreatorState):
+            return NotImplemented
+        return (self.params == other.params and self.monomials == other.monomials
+                and np.array_equal(self.vectors, other.vectors))
 
 
 @dataclass(frozen=True)
@@ -81,22 +104,12 @@ def apply_creator(state: FockState, vector) -> FockState:
 
 def apply_create(state: FockState, k: int) -> FockState:
     """Raise the occupation of wave-number mode k on every term."""
-    h = state.params.max_wavenumber
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"wave number must be an integer, got {k!r}")
-    if not -h <= k <= h:
-        raise ValueError(f"wave number {k} out of range -{h}..{h}")
-    return apply_creator(state, (np.arange(state.params.n_sites) == k + h).astype(float))
+    return apply_creator(state, creator_vector(state.params.n_sites, "a", k))
 
 
 def apply_create_local(state: FockState, site: int) -> FockState:
     """Create an excitation localized at a 1-based site: the creator is its mode profile."""
-    n_sites = state.params.n_sites
-    if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
-        raise ValueError(f"site must be an integer, got {site!r}")
-    if not 1 <= site <= n_sites:
-        raise ValueError(f"site {site} out of range 1..{n_sites}")
-    return apply_creator(state, mode_profile(n_sites, int(site)))
+    return apply_creator(state, creator_vector(state.params.n_sites, "b", site))
 
 
 def linear_combine(pairs) -> FockState:
@@ -118,6 +131,19 @@ def linear_combine(pairs) -> FockState:
             out[occ] = out.get(occ, 0.0 + 0.0j) + coeff * amp
     out = {occ: amp for occ, amp in out.items() if amp != 0}
     return FockState(params, out)
+
+
+def expand_state(state: CreatorState) -> FockState:
+    """Occupation-number terms of a creator state: each monomial applies its
+    creator vectors to ``vac``, last row first."""
+    pairs = []
+    for coeff, mult in state.monomials:
+        fock = vacuum(state.params)
+        for vector, m in reversed(list(zip(state.vectors, mult))):
+            for _ in range(m):
+                fock = apply_creator(fock, vector)
+        pairs.append((coeff, fock))
+    return linear_combine(pairs) if pairs else FockState(state.params, {})
 
 
 def inner_product(a: FockState, b: FockState) -> complex:

@@ -32,7 +32,7 @@ from html import escape
 
 import numpy as np
 
-from .sampling import RNG_ID, SampleBatch
+from .sampling import PLOT_MARGINS, RNG_ID, SampleBatch
 
 __all__ = [
     "diverging_color",
@@ -51,8 +51,7 @@ BACKGROUND_RGB = (255, 255, 255)
 AXIS_COLOR = "#c8c8c8"
 LABEL_COLOR = "#404040"
 
-# plot-area margins, pixels
-_LEFT, _RIGHT, _TOP, _BOTTOM = 58, 16, 34, 40
+_LEFT, _RIGHT, _TOP, _BOTTOM = PLOT_MARGINS
 
 _BACKGROUND = np.array(BACKGROUND_RGB, dtype=float)
 _BACKGROUND_HEX = "#%02x%02x%02x" % BACKGROUND_RGB

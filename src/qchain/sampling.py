@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ModeBasis
-from .fock import FockState
-from .wavefunction import CreatorState, evaluate_batch, evaluate_oscillator2d
+from .fock import CreatorState, FockState
+from .wavefunction import evaluate_batch, evaluate_oscillator2d
 
 __all__ = [
     "RNG_ID",
@@ -49,6 +49,8 @@ __all__ = [
 RNG_ID = "numpy-PCG64"
 
 COLOR_MODES = ("diverging_real", "phase_hue")
+
+PLOT_MARGINS = (58, 16, 34, 40)  # left, right, top and bottom of the plot area, px
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,9 @@ class RenderSpec:
             raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if self.color_mode not in COLOR_MODES:
             raise ValueError(f"color_mode must be one of {COLOR_MODES}, got {self.color_mode!r}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("width and height must be positive pixel counts")
+        left, right, top, bottom = PLOT_MARGINS
+        if self.width <= left + right or self.height <= top + bottom:
+            raise ValueError(f"a {self.width}x{self.height} px canvas has no room for the plot")
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,11 @@ class SampleBatch:
     @property
     def n_dims(self) -> int:
         return self.points.shape[1]
+
+
+def _chart_type(n_dims: int) -> str:
+    """Chart type of a batch: two dimensions are a scatter chart; a chain's N is odd."""
+    return "scatter2d" if n_dims == 2 else "parallel_axes"
 
 
 def default_window(frequencies, mass: float) -> float:
@@ -151,10 +159,9 @@ def dump_samples(batch: SampleBatch) -> str:
     if bad.size:
         raise ValueError(f"row {bad[0] + 1}: non-finite cell")
     spec = batch.spec
-    chart = "scatter2d" if batch.n_dims == 2 else "parallel_axes"  # N is odd for a chain
     header = (
         f"# qchain-samples v1, n_dims={batch.n_dims}, samples={spec.sample_count}, "
-        f"seed={spec.seed}, window={spec.window:.17g}, mode={chart}, "
+        f"seed={spec.seed}, window={spec.window:.17g}, mode={_chart_type(batch.n_dims)}, "
         f"color_mode={spec.color_mode}, width={spec.width}, height={spec.height}, "
         f"rng={RNG_ID}, state={batch.state_label}\n"
     )
@@ -180,9 +187,11 @@ def load_samples(text: str) -> SampleBatch:
         key, _, value = part.partition("=")
         meta[key] = value
     try:
-        if meta["mode"] not in ("parallel_axes", "scatter2d"):
-            raise ValueError(f"unknown chart type {meta['mode']!r} in the sample table header")
+        if meta["rng"] != RNG_ID:
+            raise ValueError(f"sample table generator {meta['rng']!r} is not {RNG_ID}")
         n_dims = int(meta["n_dims"])
+        if meta["mode"] != _chart_type(n_dims):
+            raise ValueError(f"chart type {meta['mode']!r} does not match n_dims={n_dims}")
         spec = RenderSpec(
             sample_count=int(meta["samples"]),
             window=float(meta["window"]),

@@ -1,7 +1,8 @@
 """Position-space wavefunction evaluation for chain states.
 
-Each creator of a state is a vector c in mode space (``a[k]`` the unit vector
-of mode k, ``b[n]`` the mode profile at site n).  In the dimensionless mode
+A state is either form of :mod:`~qchain.fock`.  Each creator of a state is a
+vector c in mode space (``a[k]`` the unit vector of mode k, ``b[n]`` the mode
+profile at site n).  In the dimensionless mode
 coordinates y (normal coordinates times sqrt(m*Omega_k)), prod_j (c_j.a^+)^m_j
 vac has the wavefunction psi0(y) :prod_j L_j^m_j:, the Wick product of the
 linear forms L_j = sqrt(2) c_j.y with pair contractions c_i.c_j (Wick, Phys.
@@ -19,15 +20,13 @@ basis and state from any number of workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, ModeBasis, _check_oscillator, build_coupling_matrix
-from .fock import FockState, energy_eigenvalue
+from .chain import ModeBasis, _check_oscillator, build_coupling_matrix
+from .fock import CreatorState, FockState, energy_eigenvalue
 
 __all__ = [
-    "CreatorState",
     "evaluate",
     "evaluate_batch",
     "evaluate_oscillator2d",
@@ -42,27 +41,6 @@ _BLOCK_ELEMENTS = 1 << 15
 # 2 MB).  A multi-threaded BLAS call can wait milliseconds for its idle worker
 # threads, so fewer calls bound that wait; larger panels raise peak memory.
 _PANEL_BLOCKS = 8
-
-
-@dataclass(frozen=True)
-class CreatorState:
-    """A chain state as a sum of products of creators applied to the vacuum.
-
-    ``vectors`` holds one distinct creator per row, in mode space (columns
-    by ascending wave number).  ``monomials`` is a tuple of (coefficient,
-    multiplicities), one multiplicity per row; the state is the sum of
-    coefficient * prod_j (c_j.a^+)^m_j vac.
-    """
-
-    params: ChainParams
-    vectors: np.ndarray  # (p, N), real or complex
-    monomials: tuple
-
-    def __eq__(self, other):
-        if not isinstance(other, CreatorState):
-            return NotImplemented
-        return (self.params == other.params and self.monomials == other.monomials
-                and np.array_equal(self.vectors, other.vectors))
 
 
 def _weighted_terms(state):
@@ -191,7 +169,7 @@ def evaluate_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float, points)
     return _wick_sum(np.eye(2), [(1.0, (nu1, nu2))], points * scale, scale)
 
 
-def hamiltonian_residual(state: FockState, basis: ModeBasis, q, h: float | None = None,
+def hamiltonian_residual(state: FockState, basis: ModeBasis, q,
                          floor_ref: float | None = None) -> float:
     """Deviation of the finite-difference energy of an eigenstate at q.
 
@@ -201,7 +179,7 @@ def hamiltonian_residual(state: FockState, basis: ModeBasis, q, h: float | None 
     from the occupation's energy.  Numerical oracle that the frequency
     convention and eigenfunctions are mutually consistent.
 
-    ``h`` defaults to 1e-3 of the narrowest mode's oscillator length, which
+    The step is 1e-3 of the narrowest mode's oscillator length, which
     balances truncation against cancellation at double precision.  Points
     where |psi(q)| < 1e-6 * floor_ref are rejected (near-nodal division);
     ``floor_ref`` defaults to |psi(0)|, which is zero for odd-parity states,
@@ -213,9 +191,7 @@ def hamiltonian_residual(state: FockState, basis: ModeBasis, q, h: float | None 
     n = basis.params.n_sites
     if q.shape != (n,):
         raise ValueError(f"expected a length-{n} configuration, got shape {q.shape}")
-    if h is None:
-        sigma_min = 1.0 / math.sqrt(2.0 * basis.params.mass * float(basis.frequencies.max()))
-        h = 1e-3 * sigma_min
+    h = 1e-3 * (1.0 / math.sqrt(2.0 * basis.params.mass * float(basis.frequencies.max())))
     if floor_ref is None:
         floor_ref = abs(evaluate(state, basis, np.zeros(n)))
 

@@ -74,8 +74,9 @@ def test_spectrum_exact_symmetry_and_center():
 
 def test_n3_frozen_values():
     # kappa = gamma = m = 1: omega = 1 + 2(1 - cos(2 pi k / 3))
-    basis = real_mode_basis(ChainParams(n_sites=3))
-    assert np.allclose(basis.omegas, [4.0, 1.0, 4.0], rtol=0, atol=1e-15)
+    params = ChainParams(n_sites=3)
+    basis = real_mode_basis(params)
+    assert np.allclose(mode_spectrum(params), [4.0, 1.0, 4.0], rtol=0, atol=1e-15)
     assert np.allclose(basis.frequencies, [2.0, 1.0, 2.0], rtol=0, atol=1e-15)
 
 
@@ -83,7 +84,7 @@ def test_modes_are_eigenvectors():
     params = ChainParams(n_sites=11, kappa=1.3, gamma=0.7)
     basis = real_mode_basis(params)
     d = build_coupling_matrix(params)
-    resid = d @ basis.basis - basis.basis * basis.omegas[None, :]
+    resid = d @ basis.basis - basis.basis * mode_spectrum(params)[None, :]
     assert np.max(np.abs(resid)) < 1e-12
 
 
@@ -125,4 +126,6 @@ def test_k1_profile_sign_changes_at_n15():
 def test_basis_arrays_read_only():
     basis = real_mode_basis(ChainParams(n_sites=5))
     with pytest.raises(ValueError):
-        basis.omegas[0] = 0.0
+        basis.frequencies[0] = 0.0
+    with pytest.raises(ValueError):
+        basis.basis[0, 0] = 0.0

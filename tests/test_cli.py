@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qchain import expr
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.cli import PRESETS, main
 from qchain.expr import build_state, evaluate_expr, parse_state_expr
@@ -54,12 +55,21 @@ def test_preset_with_overrides(tmp_path):
     assert batch.spec.window == pytest.approx(3.0)  # softest mode has Omega = 1
 
 
-def test_dump_state_flag(tmp_path):
+def test_dump_state_flag(tmp_path, monkeypatch):
     out = tmp_path / "o.svg"
     dump = tmp_path / "state.txt"
+    walks, state_poly = [], expr._state_poly
+
+    def counting_walk(node, params):
+        walks.append(node)
+        return state_poly(node, params)
+
+    monkeypatch.setattr(expr, "_state_poly", counting_walk)
     code = main(["--n", "5", "--state", "b[2] vac", "--samples", "10",
                  "--out", str(out), "--dump-state", str(dump)])
     assert code == 0
+    assert len(walks) == 1  # the dump expands the state the run built
+    monkeypatch.undo()
     state = evaluate_expr(parse_state_expr("b[2] vac", 5), ChainParams(n_sites=5))
     assert dump.read_text() == dump_state(state)
 
@@ -142,6 +152,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["--mode2d", "--dump-state", "x.txt"],
         ["fig99"],  # unknown preset
         ["--color-mode", "sparkles", "--n", "3", "--state", "vac"],
+        ["--n", "3", "--state", "vac", "--samples", "5", "--width", "40", "--height", "40"],
+        ["--mode2d", "--gamma", "nan", "--samples", "10"],  # the 2D oscillator has no coupling
     ]
     for argv in cases:
         code = main(argv)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchain import expr
 from qchain.chain import ChainParams
 from qchain.expr import (
     Create,
@@ -82,6 +83,25 @@ def test_parse_errors_carry_positions():
         parse_state_expr("vac vac", 5)
     with pytest.raises(StateExprError):
         parse_state_expr("a[1] vac vac", 5)
+    with pytest.raises(StateExprError, match=r"unexpected '\)' after expression \(position 4\)"):
+        parse_state_expr("vac )", 5)
+    with pytest.raises(StateExprError, match=r"expected '\[' after 'a', found '1' \(position 2\)"):
+        parse_state_expr("a 1] vac", 5)
+
+
+def test_index_errors_match_the_fock_operators():
+    # the expression and the operator say the same thing, apart from the position
+    p3 = ChainParams(n_sites=3)
+    for src, create, index in (("a[9] vac", apply_create, 9), ("b[0] vac", apply_create_local, 0),
+                               ("b[4] vac", apply_create_local, 4)):
+        with pytest.raises(StateExprError) as parsed:
+            parse_state_expr(src, 3)
+        with pytest.raises(ValueError) as applied:
+            create(vacuum(p3), index)
+        assert str(parsed.value) == f"{applied.value} (position 0)"
+    assert str(parsed.value) == "site 4 out of range 1..3 (position 0)"
+    with pytest.raises(ValueError, match=r"^wave number 9 out of range -1\.\.1 for 3 sites$"):
+        apply_create(vacuum(p3), 9)
 
 
 def test_pretty_round_trip_examples():
@@ -94,6 +114,13 @@ def test_pretty_round_trip_examples():
         "-vac",
         "a[1] vac - b[2] vac",
         "(a[1] + a[-1] + 2 a[0]) b[4] vac",
+        "(a[1] a[2]) vac",
+        "(2 a[1]) vac",
+        "a[1] (a[2] vac)",
+        "(-2) vac",
+        "a[+1] vac",
+        "(1 + 2) vac",
+        "-i vac",
     ]:
         ast = parse_state_expr(src, 9)
         assert parse_state_expr(pretty(ast), 9) == ast
@@ -161,10 +188,22 @@ def test_operator_sum_distributes_like_state_sum():
         assert amp == pytest.approx(rhs.terms[occ], rel=1e-14)
 
 
-def test_build_state_returns_canonical_label():
+def test_build_state_returns_canonical_label(monkeypatch):
     p = ChainParams(n_sites=11)
+    walks, state_poly = [], expr._state_poly
+
+    def counting_walk(node, params):
+        walks.append(node)
+        return state_poly(node, params)
+
+    monkeypatch.setattr(expr, "_state_poly", counting_walk)
     state, label = build_state("b[5]   vac", p)
+    assert len(walks) == 1  # one parse and one walk
+    with pytest.raises(StateExprError, match="site 12 out of range"):
+        build_state("b[12] vac", p)  # the one walk still checks index ranges
+    monkeypatch.undo()
     assert label == "b[5] vac"
+    assert build_state("-i vac", p)[1] == "-i vac"
     ast = parse_state_expr("b[5] vac", 11)
     assert state == creator_state(ast, p)
     fock = evaluate_expr(ast, p)

@@ -48,6 +48,10 @@ def test_create_validates_index():
         apply_create_local(v, 0)
     with pytest.raises(ValueError):
         apply_create_local(v, 4)
+    with pytest.raises(ValueError, match="wave number must be an integer, got 1.5"):
+        apply_create(v, 1.5)
+    with pytest.raises(ValueError, match="site must be an integer, got True"):
+        apply_create_local(v, True)
 
 
 def test_creator_vector_is_the_weighted_sum_of_mode_creators():

@@ -116,6 +116,11 @@ def test_svg_structure_and_metadata():
     # one vertical line per site plus the dashed zero line
     assert svg.count("<line ") == 4 + 1
     assert "a[0] vac" in svg  # title text
+    # a one-site chain draws its only axis at the centre of the 826 px plot width
+    one = render_parallel_axes(_make_batch([1.0], n_dims=1))
+    assert one.count("<line ") == 1 + 1
+    assert '<line x1="471.00" y1="34" x2="471.00" y2="520" ' in one
+    assert re.search(r'<polyline id="s0" points="471\.00,[0-9.]+" ', one)
 
 
 def test_labels_escaped_as_xml_text():

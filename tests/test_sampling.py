@@ -40,6 +40,10 @@ def test_render_spec_validation():
         RenderSpec(color_mode="rainbow")
     with pytest.raises(ValueError):
         RenderSpec(width=0)
+    for width, height in ((40, 40), (74, 560), (900, 74)):  # no plot area inside the margins
+        with pytest.raises(ValueError, match="canvas has no room for the plot"):
+            RenderSpec(width=width, height=height)
+    assert RenderSpec(width=75, height=75).width == 75
     assert RenderSpec(seed=2**64 - 1).seed == 2**64 - 1
 
 
@@ -267,6 +271,12 @@ def test_load_rejects_malformed_tables():
             load_samples("\n".join(broken) + "\n")
     with pytest.raises(ValueError):
         load_samples(good.replace("mode=parallel_axes", "mode=pie_chart"))  # unknown chart
+    with pytest.raises(ValueError, match="chart type 'scatter2d' does not match n_dims=3"):
+        load_samples(good.replace("mode=parallel_axes", "mode=scatter2d"))
+    with pytest.raises(ValueError, match="generator 'mt19937' is not numpy-PCG64"):
+        load_samples(good.replace("rng=numpy-PCG64", "rng=mt19937"))
+    with pytest.raises(ValueError, match="missing the state label"):
+        load_samples(good.replace(", state=vac", ""))
     for field in ("mode=parallel_axes", "height=560"):  # a header field is missing
         name = field.partition("=")[0]
         with pytest.raises(ValueError, match=f"no {name}= field"):

@@ -456,6 +456,10 @@ def test_batch_spanning_blocks_matches_its_rows():
     batch = evaluate_batch(state, basis, pts)
     assert batch.shape == (250,)
     assert evaluate_batch(state, basis, pts[:0]).shape == (0,)
+    with pytest.raises(ValueError, match=r"expected points of shape \(M, 301\), got \(2, 300\)"):
+        evaluate_batch(state, basis, pts[:2, :300])
+    with pytest.raises(ValueError, match=r"length-301 configuration, got shape \(1, 301\)"):
+        evaluate(state, basis, pts[:1])
     for i in (0, 107, 108, 216, 249):  # either side of each block edge
         single = evaluate(state, basis, pts[i])
         assert abs(single - batch[i]) <= 1e-12 * np.max(np.abs(batch))
