@@ -9,6 +9,8 @@ wavefunction value (:mod:`~qchain.render`); background-colored samples are
 left out.  :mod:`~qchain.fock` expands states into occupation-number terms.
 """
 
+__version__ = "0.1.0"  # before the submodules: render reads it, and pyproject.toml too
+
 from . import chain, expr, fock, render, sampling, wavefunction
 from .chain import *  # noqa: F403
 from .expr import *  # noqa: F403
@@ -16,8 +18,6 @@ from .fock import *  # noqa: F403
 from .render import *  # noqa: F403
 from .sampling import *  # noqa: F403
 from .wavefunction import *  # noqa: F403
-
-__version__ = "0.1.0"
 
 # the public names are those each module lists in its own __all__
 __all__ = [name for module in (chain, expr, fock, render, sampling, wavefunction)

@@ -237,8 +237,8 @@ def parse_rows(text: str, start: int, n_rows: int, cols: int) -> np.ndarray:
     the text and the table only chunk-sized arrays are alive.
     """
     # a valid row has at least 2 * cols characters, so a table that the text
-    # cannot fill is invalid; its rows past the text's capacity are parsed
-    # into scratch arrays only to find the error
+    # cannot fill is invalid; its rows past the text's capacity are parsed,
+    # and not stored, only to find the error
     table = np.empty((min(n_rows, (len(text) - start + 1) // (2 * cols)), cols))
     found, error = 0, None
     with np.errstate(all="ignore"):  # lanes of cells left to float()
@@ -254,10 +254,10 @@ def parse_rows(text: str, start: int, n_rows: int, cols: int) -> np.ndarray:
             plain = a[-1] == 10 and not _LINE_END_LEADS[ch].any()
             n = np.count_nonzero(ch == 10) if plain else len(piece.splitlines())
             if error is None:
-                out = table[found:found + n] if found + n <= len(table) else np.empty((n, cols))
+                out = table[found:found + n] if found + n <= len(table) else None
                 try:
-                    if not (plain and _parse_chunk(a, marks, ch, out)):
-                        _parse_lines(piece, found, out)
+                    if out is None or not (plain and _parse_chunk(a, marks, ch, out)):
+                        _parse_lines(piece, found, cols, out)
                 except ValueError as exc:
                     error = exc
             found += n
@@ -268,15 +268,16 @@ def parse_rows(text: str, start: int, n_rows: int, cols: int) -> np.ndarray:
     return table
 
 
-def _parse_lines(piece, first, out):
-    """The row loop: parse the rows of ``piece`` into ``out``, or raise the
-    first error; ``first`` is the index of their first row in the table."""
-    cols = out.shape[1]
+def _parse_lines(piece, first, cols, out=None):
+    """The row loop: parse the rows of ``piece``, of ``cols`` cells each, into
+    ``out`` if given, or raise the first error; ``first`` is the index of their first row."""
     for i, line in enumerate(piece.splitlines()):
         cells = line.split(",")
         if len(cells) != cols:
             raise ValueError(f"row {first + i + 1}: expected {cols} columns, got {len(cells)}")
-        out[i] = [float(cell) for cell in cells]
+        row = [float(cell) for cell in cells]
+        if out is not None:
+            out[i] = row
 
 
 def _parse_chunk(a, marks, ch, out):

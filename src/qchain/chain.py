@@ -40,7 +40,8 @@ __all__ = [
 
 
 def _check_oscillator(mass: float, kappa: float, gamma: float = 0.0):
-    """Require a positive finite mass and kappa and a finite non-negative gamma.
+    """Require a positive finite mass and kappa, a finite non-negative gamma,
+    and mode frequencies that neither overflow nor underflow to zero.
 
     NaN fails every comparison, so it is rejected too.
     """
@@ -50,6 +51,11 @@ def _check_oscillator(mass: float, kappa: float, gamma: float = 0.0):
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
+    mass, kappa, gamma = float(mass), float(kappa), float(gamma)  # no numpy overflow warnings
+    # every squared frequency omega_k / mass lies in [kappa, kappa + 4 * gamma] / mass
+    if not (kappa / mass > 0 and (kappa + 4.0 * gamma) / mass < math.inf):
+        raise ValueError(f"mass={mass}, kappa={kappa} and gamma={gamma} put the mode "
+                         "frequencies outside the range of a double")
 
 
 @dataclass(frozen=True)

@@ -173,30 +173,32 @@ def main(argv=None) -> int:
         print(f"qchain: error: {exc}", file=sys.stderr)
         return 1
 
-    try:
-        if args.mode2d:
-            batch = sample_oscillator2d(nu1, nu2, args.mass, args.kappa, spec)
-            render = render_scatter2d
-        else:
-            batch = sample_chain_state(state, basis, spec, state_label=label)
-            render = render_parallel_axes
-        # occupation terms are expanded only for the dump, before any write
-        state_text = None if args.dump_state is None else dump_state(expand_state(state))
-        if not np.any(batch.values):
-            raise ValueError("every sampled wavefunction value is zero")
-        outputs = [(out, render(batch))]  # render rejects a non-finite batch
-        if args.dump_samples is not None:
-            outputs.append((args.dump_samples, dump_samples(batch)))
-        if state_text is not None:
-            outputs.append((args.dump_state, state_text))
-        _write_atomic(outputs)  # every text is complete before any file is written
-        print(f"n={batch.n_dims} state='{batch.state_label}' samples={spec.sample_count} "
-              f"seed={spec.seed} out={out}")
-        return 0
-    except OSError as exc:
-        print(f"qchain: i/o error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ArithmeticError) as exc:
-        print(f"qchain: numeric error: {exc}", file=sys.stderr)
-        return 2
+    # the numeric failures of this phase are reported below, in one line each
+    with np.errstate(all="ignore"):
+        try:
+            if args.mode2d:
+                batch = sample_oscillator2d(nu1, nu2, args.mass, args.kappa, spec)
+                render = render_scatter2d
+            else:
+                batch = sample_chain_state(state, basis, spec, state_label=label)
+                render = render_parallel_axes
+            # occupation terms are expanded only for the dump, before any write
+            state_text = None if args.dump_state is None else dump_state(expand_state(state))
+            if not np.any(batch.values):
+                raise ValueError("every sampled wavefunction value is zero")
+            outputs = [(out, render(batch))]
+            if args.dump_samples is not None:
+                outputs.append((args.dump_samples, dump_samples(batch)))
+            if state_text is not None:
+                outputs.append((args.dump_state, state_text))
+            _write_atomic(outputs)  # every text is complete before any file is written
+            print(f"n={batch.n_dims} state='{batch.state_label}' samples={spec.sample_count} "
+                  f"seed={spec.seed} out={out}")
+            return 0
+        except OSError as exc:
+            print(f"qchain: i/o error: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, ArithmeticError) as exc:
+            print(f"qchain: numeric error: {exc}", file=sys.stderr)
+            return 2
 

@@ -32,6 +32,7 @@ from html import escape
 
 import numpy as np
 
+from . import __version__
 from .sampling import PLOT_MARGINS, RNG_ID, SampleBatch
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
     "render_scatter2d",
 ]
 
-TOOL_ID = "qchain 0.1.0"
+TOOL_ID = f"qchain {__version__}"
 
 POSITIVE_RGB = (178, 24, 43)  # deep red
 NEGATIVE_RGB = (33, 102, 172)  # deep blue
@@ -131,16 +132,12 @@ def _text(x, y, body, size: int = 11, anchor: str = "", fill: str = LABEL_COLOR)
 
 
 def _chart(batch: SampleBatch, chart: str):
-    """Document head and plot geometry shared by both chart types; rejects a bad batch.
+    """Document head and plot geometry shared by both chart types.
 
     ``chart`` is the chart type written into the metadata.  Returns the
     opening SVG lines, the plot-area width and height, and the maps from a
     coordinate in [-window, window] to its x and y pixel.
     """
-    if batch.points.shape[0] == 0:
-        raise ValueError("cannot render an empty batch")
-    if not np.all(np.isfinite(batch.points)) or not np.all(np.isfinite(batch.values)):
-        raise ValueError("batch contains non-finite coordinates or values")
     spec = batch.spec
     meta = (
         f"tool={TOOL_ID}; rng={RNG_ID}; seed={spec.seed}; "

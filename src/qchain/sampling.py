@@ -85,12 +85,29 @@ class RenderSpec:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Drawn points with their evaluated wavefunction values."""
+    """Drawn points with their evaluated wavefunction values.
+
+    Raises ``ValueError`` unless it holds ``spec.sample_count`` points inside
+    the window, one value per point and only finite cells, so every batch
+    renders and its table loads back.
+    """
 
     points: np.ndarray  # (M, N) real
     values: np.ndarray  # (M,) complex
     spec: RenderSpec
     state_label: str = ""
+
+    def __post_init__(self):
+        points, values, spec = self.points, self.values, self.spec
+        if points.ndim != 2 or points.shape[1] < 1 or values.shape != points.shape[:1]:
+            raise ValueError(f"batch shapes {points.shape} and {values.shape} are not (M, N), (M,)")
+        if len(points) != spec.sample_count:
+            raise ValueError(f"batch has {len(points)} samples, its spec {spec.sample_count}")
+        bad = np.flatnonzero(~(np.isfinite(points).all(axis=1) & np.isfinite(values)))
+        if bad.size:
+            raise ValueError(f"row {bad[0] + 1}: non-finite cell")
+        if max(points.max(), -points.min()) > spec.window:  # no points-sized temporary
+            raise ValueError("sample coordinates fall outside the declared window")
 
     @property
     def n_dims(self) -> int:
@@ -153,11 +170,8 @@ def dump_samples(batch: SampleBatch) -> str:
     Rows are comma-separated: the N site coordinates, then the real and
     imaginary part of the wavefunction value, floats with 17 significant
     digits (lossless for doubles).  Byte-deterministic for fixed inputs.
-    Every cell must be finite, so every table written loads back.
+    A batch is finite and inside its window, so every table written loads back.
     """
-    bad = np.flatnonzero(~(np.isfinite(batch.points).all(axis=1) & np.isfinite(batch.values)))
-    if bad.size:
-        raise ValueError(f"row {bad[0] + 1}: non-finite cell")
     spec = batch.spec
     header = (
         f"# qchain-samples v1, n_dims={batch.n_dims}, samples={spec.sample_count}, "
@@ -171,7 +185,10 @@ def dump_samples(batch: SampleBatch) -> str:
 
 
 def load_samples(text: str) -> SampleBatch:
-    """Parse a sample table back into a batch (inverse of :func:`dump_samples`)."""
+    """Parse a sample table back into a batch (inverse of :func:`dump_samples`).
+
+    A malformed table, or one that breaks a :class:`SampleBatch` rule, raises ValueError.
+    """
     from ._tablecodec import first_line, parse_rows  # on first use: compiling it costs ~5 ms
 
     header, start = first_line(text)
@@ -205,11 +222,6 @@ def load_samples(text: str) -> SampleBatch:
     if n_dims < 1:
         raise ValueError(f"n_dims must be >= 1, got {n_dims}")
     table = parse_rows(text, start, spec.sample_count, n_dims + 2)
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        raise ValueError(f"row {bad[0] + 1}: non-finite cell")
     points = table[:, :n_dims]
-    if np.any(np.abs(points) > spec.window):
-        raise ValueError("sample coordinates fall outside the declared window")
     values = np.ascontiguousarray(table[:, n_dims:]).view(complex)[:, 0]  # keeps -0.0 parts
     return SampleBatch(points=points, values=values, spec=spec, state_label=state_label)

@@ -32,6 +32,12 @@ def test_params_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{name} must be .* finite"):
                 ChainParams(n_sites=3, **{name: bad})
+    # finite parameters whose mode frequencies overflow or underflow to zero
+    for params in ({"mass": 1e-320}, {"gamma": 1e308}, {"kappa": 1e-320, "mass": 1e300},
+                   {"mass": np.float64(1e-320)}):
+        with pytest.raises(ValueError, match="mode frequencies outside the range of a double"):
+            ChainParams(n_sites=3, **params)
+    assert ChainParams(n_sites=3, mass=1e-300, kappa=1e-300).mass == 1e-300  # tiny but in range
     # gamma = 0 decouples the sites but stays valid
     assert ChainParams(n_sites=3, gamma=0.0).max_wavenumber == 1
     assert ChainParams(n_sites=15).max_wavenumber == 7

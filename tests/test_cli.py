@@ -173,6 +173,19 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, argv
         assert f"{name} must be" in err and "finite" in err, (argv, err)
+    # finite parameters whose mode frequencies leave the range of a double
+    spectrum = [
+        ["--n", "3", "--state", "vac", "--mass", "1e-320"],
+        ["--n", "3", "--state", "vac", "--gamma", "1e308"],
+        ["--n", "3", "--state", "vac", "--kappa", "1e-320", "--mass", "1e300"],
+        ["--mode2d", "--mass", "1e-320"],
+    ]
+    for argv in spectrum:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert "mass=" in err and "kappa=" in err and "gamma=" in err, (argv, err)
+        assert "window" not in err, (argv, err)
 
 
 @pytest.mark.parametrize("flag, value", [("--out", ""), ("--dump-samples", ""),
@@ -225,7 +238,7 @@ def test_failed_extra_output_leaves_no_file(tmp_path, capsys, flag):
 
 
 def test_numeric_error_exits_2(tmp_path, capsys):
-    # an amplitude of 1e400 overflows to infinity, which the renderer rejects
+    # an amplitude of 1e400 overflows to infinity, which the sample batch rejects
     out = tmp_path / "x.svg"
     code = main(["--n", "3", "--state", "1e400 vac", "--samples", "10",
                  "--out", str(out), "--dump-samples", str(tmp_path / "x.csv"),
@@ -234,6 +247,18 @@ def test_numeric_error_exits_2(tmp_path, capsys):
     assert code == 2
     assert "numeric" in err
     assert list(tmp_path.iterdir()) == []  # no figure, no table, no state dump
+
+
+def test_numeric_error_is_one_line(tmp_path, capsys):
+    # squaring coordinates near 1e200 overflows: the run reports its failure
+    # itself, without numpy's warning, and leaves numpy's settings as they were
+    before = np.geterr()
+    code = main(["--n", "3", "--state", "vac", "--window", "1e200", "--samples", "10",
+                 "--out", str(tmp_path / "x.svg")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("qchain: numeric error: ") and err.count("\n") == 1, err
+    assert np.geterr() == before
 
 
 def test_no_partial_file_on_failure(tmp_path, capsys):

@@ -27,3 +27,7 @@ def test_package_all_is_the_module_lists():
     namespace = {}
     exec("from qchain import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(qchain.__all__)
+
+
+def test_svg_tool_id_carries_the_package_version():
+    assert render.TOOL_ID == f"qchain {qchain.__version__}"

@@ -188,13 +188,13 @@ def test_charts_and_tables_record_their_chart_type():
 def test_render_rejects_bad_batches():
     with pytest.raises(ValueError):
         render_parallel_axes(_make_batch([np.inf, 1.0]))
-    empty = SampleBatch(
-        points=np.zeros((0, 3)),
-        values=np.zeros(0, dtype=complex),
-        spec=RenderSpec(sample_count=1, window=3.0),
-        state_label="",
-    )
     with pytest.raises(ValueError):
+        empty = SampleBatch(
+            points=np.zeros((0, 3)),
+            values=np.zeros(0, dtype=complex),
+            spec=RenderSpec(sample_count=1, window=3.0),
+            state_label="",
+        )
         render_parallel_axes(empty)
 
 

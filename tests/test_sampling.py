@@ -102,6 +102,34 @@ def test_sample_oscillator2d_label_and_values():
     assert np.array_equal(batch.values, ref)
 
 
+def test_batch_checks_its_rules_at_construction():
+    spec = RenderSpec(sample_count=3, window=3.0)
+    points = np.array([[0.5, -3.0, 3.0], [1.0, 0.0, -1.0], [2.5, 2.0, -2.0]])
+    values = np.array([1.0, -0.5j, 0.25 + 0.25j])
+    SampleBatch(points, values, spec)  # every rule holds; the window edge is inside
+
+    for q in (4.0, -4.0):  # a point outside the window, above or below it
+        outside = points.copy()
+        outside[1, 2] = q
+        with pytest.raises(ValueError, match="outside the declared window"):
+            SampleBatch(outside, values, spec)
+    with pytest.raises(ValueError, match="batch has 3 samples, its spec 5"):
+        SampleBatch(points, values, RenderSpec(sample_count=5, window=3.0))
+    for bad_points, bad_values in ((points, values[:2]), (points[:, :0], values),
+                                   (points[0], values[:1]), (points, values[:, None])):
+        with pytest.raises(ValueError, match="are not"):  # mismatched or malformed shapes
+            SampleBatch(bad_points, bad_values, spec)
+    for row, cell in ((0, np.nan), (2, np.inf), (1, -np.inf)):
+        broken = points.copy()
+        broken[row, 1] = cell
+        with pytest.raises(ValueError, match=f"row {row + 1}: non-finite cell"):
+            SampleBatch(broken, values, spec)
+        broken = values.copy()
+        broken[row] = complex(0.0, cell)
+        with pytest.raises(ValueError, match=f"row {row + 1}: non-finite cell"):
+            SampleBatch(points, broken, spec)
+
+
 def test_dump_load_round_trip_bitwise():
     params = ChainParams(n_sites=5)
     basis = real_mode_basis(params)
@@ -286,6 +314,9 @@ def test_load_rejects_malformed_tables():
         table = header.format(n_dims) + "\n" + ",".join(["0.5"] * (n_dims + 2)) + "\n"
         with pytest.raises(ValueError, match="n_dims must be >= 1"):
             load_samples(table)
+    # a huge n_dims with a short row: the column error, without a row-sized buffer
+    with pytest.raises(ValueError, match="row 1: expected 1000000000002 columns, got 3"):
+        load_samples(header.format(10**12) + "\n0.5,1,0\n")
 
 
 def test_load_reads_what_float_reads():
