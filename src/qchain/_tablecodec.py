@@ -7,11 +7,10 @@ m * 2**e exactly, and 10**k is held as a double-double (hi + lo) * 2**b that
 integer arithmetic makes correct to 2**-105, so a product of the two carries
 an error far below the rounding step it has to decide.  Each kernel checks
 that margin per cell and leaves a cell it cannot certify, or whose text it
-does not recognise, to the per-cell Python call.  A chunk with a row that
-does not end in '\\n' or has the wrong number of cells goes to a row loop of
-``str.splitlines``, ``str.split`` and ``float`` instead.  The text and the
-bits are therefore those of ``'%.17g' % x`` and ``float(cell)``; the kernels
-only make them faster.  numpy has no fused multiply-add, so exact products
+does not recognise, to the per-cell Python call.  A row ends at '\\n', and
+every chunk of rows goes through the kernel.  The text and the bits are
+therefore those of ``'%.17g' % x`` and ``float(cell)``; the kernels only
+make them faster.  numpy has no fused multiply-add, so exact products
 use Dekker's splitting.
 """
 
@@ -194,9 +193,6 @@ _ZEROS = np.uint64(0x3030303030303030)
 # large were slower after a dump in the same process: glibc returned each
 # chunk's temporaries to the system, and the next chunk faulted them in again.
 _TEXT_CHUNK = 12 * _CHUNK
-_LINE_ENDS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines splits, besides '\n'
-_LINE_END_LEADS = np.zeros(256, bool)  # the first UTF-8 byte of each of _LINE_ENDS
-_LINE_END_LEADS[[c.encode()[0] for c in _LINE_ENDS]] = True
 
 
 @functools.cache
@@ -218,83 +214,60 @@ def _eight_digits(w):
     return ((w & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 * 2**32 + 1)) >> np.uint64(32)
 
 
-def first_line(text: str) -> tuple[str, int]:
-    """The first line of ``text`` as ``str.splitlines`` splits it, and the
-    index at which the next line starts."""
-    # '\n' always ends a line, and a '\r' before it belongs to the same one
-    head = text[:text.find("\n") + 1 or len(text)]
-    line = head.splitlines(keepends=True)[0] if head else ""
-    return line.rstrip("\n" + _LINE_ENDS), len(line)
-
-
 def parse_rows(text: str, start: int, n_rows: int, cols: int) -> np.ndarray:
-    """``float`` of every cell of the rows of ``text[start:]``, split into rows
-    where ``str.splitlines`` splits and into ``cols`` cells by ','.
+    """``float`` of every cell of the rows of ``text[start:]``: each row ends
+    at a '\\n' (the last may lack it) and has ``cols`` cells split by ','.
 
     Raises ``ValueError`` if there are not ``n_rows`` rows, and otherwise the
     one a row-by-row ``float`` loop raises first: a row's column count before
     its cells, rows in order.  The text is read one chunk at a time, so beyond
     the text and the table only chunk-sized arrays are alive.
     """
+    found = text.count("\n", start) + (start < len(text) and text[-1] != "\n")
+    if found != n_rows:
+        raise ValueError(f"expected {n_rows} rows, found {found}")
     # a valid row has at least 2 * cols characters, so a table that the text
     # cannot fill is invalid; its rows past the text's capacity are parsed,
     # and not stored, only to find the error
     table = np.empty((min(n_rows, (len(text) - start + 1) // (2 * cols)), cols))
-    found, error = 0, None
+    row = 0
     with np.errstate(all="ignore"):  # lanes of cells left to float()
         while start < len(text):
-            # a chunk ends just after a '\n', which always ends a row
+            # a chunk ends just after a '\n'; only the last may need one appended
             end = text.find("\n", start + _TEXT_CHUNK) + 1 or len(text)
-            piece = text[start:end]
+            data = text[start:end].encode("utf-8", "surrogatepass")
             start = end
-            a = np.frombuffer(piece.encode("utf-8", "surrogatepass"), np.uint8)
-            marks = np.flatnonzero((a - 48) > 9)  # every byte that is not a digit
-            ch = a[marks]
-            # the kernel reads rows that each end in '\n'
-            plain = a[-1] == 10 and not _LINE_END_LEADS[ch].any()
-            n = np.count_nonzero(ch == 10) if plain else len(piece.splitlines())
-            if error is None:
-                out = table[found:found + n] if found + n <= len(table) else None
-                try:
-                    if out is None or not (plain and _parse_chunk(a, marks, ch, out)):
-                        _parse_lines(piece, found, cols, out)
-                except ValueError as exc:
-                    error = exc
-            found += n
-    if found != n_rows:
-        raise ValueError(f"expected {n_rows} rows, found {found}")
-    if error is not None:
-        raise error
+            a = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", np.uint8)
+            values = _parse_chunk(a, cols, row)
+            if row + len(values) <= len(table):
+                table[row:row + len(values)] = values
+            row += len(values)
     return table
 
 
-def _parse_lines(piece, first, cols, out=None):
-    """The row loop: parse the rows of ``piece``, of ``cols`` cells each, into
-    ``out`` if given, or raise the first error; ``first`` is the index of their first row."""
-    for i, line in enumerate(piece.splitlines()):
-        cells = line.split(",")
-        if len(cells) != cols:
-            raise ValueError(f"row {first + i + 1}: expected {cols} columns, got {len(cells)}")
-        row = [float(cell) for cell in cells]
-        if out is not None:
-            out[i] = row
+def _parse_chunk(a, cols, first):
+    """Values of the '\\n'-ended rows of the bytes ``a`` as rows of ``cols``
+    cells; ``first`` is the index of their first row.
 
-
-def _parse_chunk(a, marks, ch, out):
-    """Parse the '\\n'-ended rows of the bytes ``a``, whose non-digit bytes
-    ``ch`` sit at ``marks``, into ``out``; False if a row has not
-    ``out.shape[1]`` cells."""
-    cols = out.shape[1]
+    A row with another cell count raises, after the rows before it are
+    parsed so that a bad cell there is raised first.
+    """
+    marks = np.flatnonzero((a - 48) > 9)  # every byte that is not a digit
+    ch = a[marks]
     is_sep = (ch == 44) | (ch == 10)
     seps = np.flatnonzero(is_sep)
-    # len(out) rows: when every cols-th of len(out) * cols separators is a
-    # '\n', each row has cols cells
-    if seps.size != out.size or not (ch[seps[cols - 1::cols]] == 10).all():
-        return False
-    other = np.flatnonzero(~is_sep)
-    cell = other - np.arange(other.size)  # separators before each mark
-    out[:] = _parse_cells(a, marks[seps], marks[other], ch[other], cell).reshape(-1, cols)
-    return True
+    counts = np.diff(np.flatnonzero(ch[seps] == 10), prepend=-1)  # cells per row
+    wrong = np.flatnonzero(counts != cols)
+    n = wrong[0] * cols if wrong.size else seps.size  # cells of the rows before it
+    if n:
+        other = np.flatnonzero(~is_sep)
+        cell = other - np.arange(other.size)  # separators before each mark
+        other = other[:np.searchsorted(cell, n)]  # the marks of those cells
+        values = _parse_cells(a, marks[seps[:n]], marks[other], ch[other], cell[:other.size])
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"row {first + i + 1}: expected {cols} columns, got {counts[i]}")
+    return values.reshape(-1, cols)
 
 
 def _parse_cells(a, ends, pos, ch, cell):

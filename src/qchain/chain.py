@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+def _check_integer(name: str, value):
+    """Require an int or numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_oscillator(mass: float, kappa: float, gamma: float = 0.0):
     """Require a positive finite mass and kappa, a finite non-negative gamma,
     and mode frequencies that neither overflow nor underflow to zero.
@@ -69,8 +75,7 @@ class ChainParams:
 
     def __post_init__(self):
         n = self.n_sites
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"n_sites must be an integer, got {n!r}")
+        _check_integer("n_sites", n)
         if n < 1 or n % 2 == 0:
             raise ValueError(f"n_sites must be a positive odd integer, got {n}")
         _check_oscillator(self.mass, self.kappa, self.gamma)
@@ -126,8 +131,7 @@ def creator_vector(n_sites: int, kind: str, index: int) -> np.ndarray:
     number, or of ``b[index]`` (kind "b"), the mode profile at that 1-based site.
     """
     name = "wave number" if kind == "a" else "site"
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {index!r}")
+    _check_integer(name, index)
     h = (n_sites - 1) // 2
     if kind == "a":
         if not -h <= index <= h:

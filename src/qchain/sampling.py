@@ -14,12 +14,15 @@ whose rounding they cannot certify, or whose text is not in the canonical
 form, goes through the per-cell Python call, so the bytes and bits are
 those of the per-cell codec.
 
+A table is one header line and one row per sample; each line ends at a
+'\\n' (the last row may lack it), and a '\\r' before it is ignored.
+
 Both directions work in bounded memory.  ``load_samples`` holds the text,
-one (M, N+2) float table and temporaries the size of one chunk of the text.
-Chunks are cut after a '\\n', so a table with no '\\n' line ends is one
-chunk.  ``dump_samples`` formats one chunk of rows at a time straight from
-the points and values, and joins the header and the chunks' text once, so
-it holds about twice the table text and no copy of the samples.
+one (M, N+2) float table and temporaries the size of one chunk of the text,
+cut after a '\\n'.  ``dump_samples`` formats one chunk of rows at a time
+straight from the points and values, and joins the header and the chunks'
+text once, so it holds about twice the table text and no copy of the
+samples.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ModeBasis
+from .chain import ModeBasis, _check_integer
 from .fock import CreatorState, FockState
 from .wavefunction import evaluate_batch, evaluate_oscillator2d
 
@@ -70,6 +73,8 @@ class RenderSpec:
     height: int = 560
 
     def __post_init__(self):
+        for name in ("sample_count", "seed", "width", "height"):
+            _check_integer(name, getattr(self, name))
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if not 0 < self.window < math.inf:
@@ -87,9 +92,9 @@ class RenderSpec:
 class SampleBatch:
     """Drawn points with their evaluated wavefunction values.
 
-    Raises ``ValueError`` unless it holds ``spec.sample_count`` points inside
-    the window, one value per point and only finite cells, so every batch
-    renders and its table loads back.
+    Raises ``ValueError`` unless its state label is one line and it holds
+    ``spec.sample_count`` points inside the window, one value per point and
+    only finite cells, so every batch renders and its table loads back.
     """
 
     points: np.ndarray  # (M, N) real
@@ -99,6 +104,8 @@ class SampleBatch:
 
     def __post_init__(self):
         points, values, spec = self.points, self.values, self.spec
+        if "\n" in self.state_label or "\r" in self.state_label:
+            raise ValueError(f"state_label must be one line, got {self.state_label!r}")
         if points.ndim != 2 or points.shape[1] < 1 or values.shape != points.shape[:1]:
             raise ValueError(f"batch shapes {points.shape} and {values.shape} are not (M, N), (M,)")
         if len(points) != spec.sample_count:
@@ -187,11 +194,14 @@ def dump_samples(batch: SampleBatch) -> str:
 def load_samples(text: str) -> SampleBatch:
     """Parse a sample table back into a batch (inverse of :func:`dump_samples`).
 
-    A malformed table, or one that breaks a :class:`SampleBatch` rule, raises ValueError.
+    The header and each row end at a '\\n', the last row may lack it, and a
+    '\\r' before the '\\n' is ignored.  A malformed table, or one that breaks
+    a :class:`SampleBatch` rule, raises ValueError.
     """
-    from ._tablecodec import first_line, parse_rows  # on first use: compiling it costs ~5 ms
+    from ._tablecodec import parse_rows  # on first use: compiling it costs ~5 ms
 
-    header, start = first_line(text)
+    start = text.find("\n") + 1 or len(text)
+    header = text[:start].removesuffix("\n").removesuffix("\r")
     if not header.startswith("# qchain-samples v1, "):
         raise ValueError("not a qchain sample table")
     meta = {}
