@@ -4,7 +4,8 @@ Every sample whose color differs from the background becomes one chart
 element, colored by its wavefunction value and with id ``s<sample index>``.
 A sample whose color rounds to the background white would paint nothing but
 white over the axes, so it is left out; the metadata's ``samples=`` and the
-sample table (:func:`~qchain.sampling.dump_samples`) still cover every draw.
+sample table (:func:`~qchain.sampling.dump_samples`, a value per draw, its
+points redrawn from the seed) still cover every draw.
 The diverging map sends zero to the background white (near-nodal samples
 vanish into the chart), the largest positive real part to a deep warm red
 and the most negative to a deep cool blue, linearly in between; no

@@ -6,23 +6,20 @@ window) tuple reproduces the exact same points.  The generator identifier and
 all draw parameters travel with every output so figures can be regenerated
 bit for bit.
 
-A sample table writes each float as ``'%.17g' % x`` (the same text as
-``f"{x:.17g}"``) and reads it back with ``float``, so a table is lossless
-and byte-deterministic.  Array kernels in ``_tablecodec`` do both for whole
-chunks of cells with exact integer and double-double arithmetic; a cell
-whose rounding they cannot certify, or whose text is not in the canonical
-form, goes through the per-cell Python call, so the bytes and bits are
-those of the per-cell codec.
+A sample table (``# qchain-samples v2``) is one header line and one row per
+sample.  The points are not stored: the header records the draw parameters
+and ``points_sha256=``, the SHA-256 of the points' C-order little-endian
+float64 bytes, and a reader regenerates them as
+``Generator(PCG64(seed)).uniform(-window, window, (samples, n_dims))`` and
+checks them against the digest, since numpy does not promise that a
+``Generator`` stream stays the same across versions.  Each row holds the real
+and imaginary part of one value, each written as ``'%.17g' % x`` and read
+back with ``float``, so a table is lossless and byte-deterministic.  A v1
+table, whose rows also hold the N coordinates, still loads.
 
-A table is one header line and one row per sample; each line ends at a
-'\\n' (the last row may lack it), and a '\\r' before it is ignored.
-
-Both directions work in bounded memory.  ``load_samples`` holds the text,
-one (M, N+2) float table and temporaries the size of one chunk of the text,
-cut after a '\\n'.  ``dump_samples`` formats one chunk of rows at a time
-straight from the points and values, and joins the header and the chunks'
-text once, so it holds about twice the table text and no copy of the
-samples.
+The header and each row end at a '\\n' (the last row may lack it), and a
+'\\r' before it is ignored.  Header fields other than the ones read are
+ignored, so later fields need no new version.
 """
 
 from __future__ import annotations
@@ -50,6 +47,8 @@ __all__ = [
 ]
 
 RNG_ID = "numpy-PCG64"
+
+_V1_HEAD, _V2_HEAD = "# qchain-samples v1, ", "# qchain-samples v2, "
 
 COLOR_MODES = ("diverging_real", "phase_hue")
 
@@ -94,7 +93,9 @@ class SampleBatch:
 
     Raises ``ValueError`` unless its state label is one line and it holds
     ``spec.sample_count`` points inside the window, one value per point and
-    only finite cells, so every batch renders and its table loads back.
+    only finite cells, so every batch renders.  A batch whose points are its
+    spec's seeded draw (:func:`draw_samples`) also dumps to a table that
+    loads back.
     """
 
     points: np.ndarray  # (M, N) real
@@ -171,45 +172,74 @@ def sample_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float,
     return SampleBatch(points=points, values=values, spec=spec, state_label=label)
 
 
+def _seeded_draw(spec: RenderSpec, n_dims: int) -> tuple[np.ndarray, str]:
+    """The spec's draw and the SHA-256 of its C-order little-endian float64 bytes."""
+    import hashlib  # on first use: ``import qchain`` does not load it
+
+    points = draw_samples(spec, n_dims)
+    return points, hashlib.sha256(np.ascontiguousarray(points, "<f8")).hexdigest()
+
+
 def dump_samples(batch: SampleBatch) -> str:
     """Sample table: one metadata header line, then one row per sample.
 
-    Rows are comma-separated: the N site coordinates, then the real and
-    imaginary part of the wavefunction value, floats with 17 significant
-    digits (lossless for doubles).  Byte-deterministic for fixed inputs.
-    A batch is finite and inside its window, so every table written loads back.
+    A row is the real and imaginary part of the sample's wavefunction value,
+    comma-separated floats with 17 significant digits (lossless for doubles).
+    The points are not stored: the header's ``points_sha256=`` is the digest
+    of the spec's seeded draw, which :func:`load_samples` redraws.  Raises
+    ``ValueError`` unless the batch's points are that draw, bit for bit.
+    Byte-deterministic for fixed inputs, and every table written loads back.
     """
     spec = batch.spec
+    points, digest = _seeded_draw(spec, batch.n_dims)
+    given = np.asarray(batch.points, dtype=float)
+    if not np.array_equal(given.view(np.uint64), points.view(np.uint64)):  # -0.0 is not 0.0
+        raise ValueError("the table stores values only; its points must be the spec's seeded draw")
     header = (
-        f"# qchain-samples v1, n_dims={batch.n_dims}, samples={spec.sample_count}, "
+        f"# qchain-samples v2, n_dims={batch.n_dims}, samples={spec.sample_count}, "
         f"seed={spec.seed}, window={spec.window:.17g}, mode={_chart_type(batch.n_dims)}, "
         f"color_mode={spec.color_mode}, width={spec.width}, height={spec.height}, "
-        f"rng={RNG_ID}, state={batch.state_label}\n"
+        f"rng={RNG_ID}, points_sha256={digest}, state={batch.state_label}\n"
     )
-    from ._tablecodec import format_rows  # on first use: compiling it costs ~5 ms
+    values = batch.values
+    rows = map("%.17g,%.17g\n".__mod__, zip(values.real.tolist(), values.imag.tolist()))
+    return header + "".join(rows)
 
-    return format_rows(header, batch.points, batch.values.real, batch.values.imag)
+
+def _read_rows(rows: list[str], cols: int) -> np.ndarray:
+    """``float`` of every cell, as an (M, cols) table; the first bad row raises,
+    its column count checked before its cells."""
+    from array import array
+
+    cells = array("d")  # grows with the rows read: nothing is sized from ``cols``
+    for i, row in enumerate(rows):
+        row = row.split(",")
+        if len(row) != cols:
+            raise ValueError(f"row {i + 1}: expected {cols} columns, got {len(row)}")
+        cells.extend(map(float, row))
+    return np.frombuffer(cells).reshape(len(rows), cols)
 
 
 def load_samples(text: str) -> SampleBatch:
     """Parse a sample table back into a batch (inverse of :func:`dump_samples`).
 
-    The header and each row end at a '\\n', the last row may lack it, and a
-    '\\r' before the '\\n' is ignored.  A malformed table, or one that breaks
-    a :class:`SampleBatch` rule, raises ValueError.
+    Reads both table versions: v2 rows hold the values and the points are
+    redrawn and checked against ``points_sha256=``; v1 rows hold the points
+    too.  The header and each row end at a '\\n', the last row may lack it,
+    and a '\\r' before the '\\n' is ignored.  Header fields other than the
+    ones read are ignored.  A malformed table, one whose digest does not
+    match this numpy's draw, or one that breaks a :class:`SampleBatch` rule
+    raises ValueError.
     """
-    from ._tablecodec import parse_rows  # on first use: compiling it costs ~5 ms
-
-    start = text.find("\n") + 1 or len(text)
-    header = text[:start].removesuffix("\n").removesuffix("\r")
-    if not header.startswith("# qchain-samples v1, "):
+    header, _, body = text.partition("\n")
+    version = header[:len(_V2_HEAD)]  # both heads have one length
+    if version not in (_V1_HEAD, _V2_HEAD):
         raise ValueError("not a qchain sample table")
-    meta = {}
-    body = header[len("# qchain-samples v1, "):]
     # state=... is last and parsed greedily: its value may contain commas.
-    head, sep, state_label = body.partition(", state=")
+    head, sep, state_label = header[len(version):].removesuffix("\r").partition(", state=")
     if not sep:
         raise ValueError("sample table header missing the state label")
+    meta = {}
     for part in head.split(", "):
         key, _, value = part.partition("=")
         meta[key] = value
@@ -227,11 +257,25 @@ def load_samples(text: str) -> SampleBatch:
             width=int(meta["width"]),
             height=int(meta["height"]),
         )
+        digest = meta["points_sha256"] if version == _V2_HEAD else None
     except KeyError as exc:
         raise ValueError(f"sample table header has no {exc.args[0]}= field") from None
     if n_dims < 1:
         raise ValueError(f"n_dims must be >= 1, got {n_dims}")
-    table = parse_rows(text, start, spec.sample_count, n_dims + 2)
-    points = table[:, :n_dims]
-    values = np.ascontiguousarray(table[:, n_dims:]).view(complex)[:, 0]  # keeps -0.0 parts
+    rows = body.split("\n")
+    if rows[-1] == "":  # the last row's '\n', or no rows at all
+        rows.pop()
+    if len(rows) != spec.sample_count:
+        raise ValueError(f"expected {spec.sample_count} rows, found {len(rows)}")
+    if digest is None:
+        table = _read_rows(rows, n_dims + 2)
+        points = table[:, :n_dims]
+    else:
+        table = _read_rows(rows, 2)
+        points, redrawn = _seeded_draw(spec, n_dims)
+        if redrawn != digest:
+            raise ValueError("points_sha256 is not the digest of the points numpy "
+                             f"{np.__version__} draws for this header: the table was edited, "
+                             f"or this numpy's PCG64 stream differs from the writer's")
+    values = np.ascontiguousarray(table[:, -2:]).view(complex)[:, 0]  # keeps -0.0 parts
     return SampleBatch(points=points, values=values, spec=spec, state_label=state_label)

@@ -30,10 +30,12 @@ from qchain.sampling import (
     RenderSpec,
     SampleBatch,
     dump_samples,
+    load_samples,
     sample_chain_state,
     sample_oscillator2d,
 )
 from sample_ids import element_ids, shown_ids
+from v1_table import dump_v1
 
 
 def _make_batch(values, window=3.0, color_mode="diverging_real", n_dims=3, label="test"):
@@ -182,7 +184,9 @@ def test_charts_and_tables_record_their_chart_type():
     assert "; mode=scatter2d;" in render_scatter2d(batch)
     assert "; mode=parallel_axes;" in render_parallel_axes(batch)
     assert ", mode=scatter2d," in dump_samples(batch)
-    assert ", mode=parallel_axes," in dump_samples(_make_batch([1.0, -1.0]))
+    params = ChainParams(n_sites=3)
+    chain = sample_chain_state(vacuum(params), real_mode_basis(params), RenderSpec(sample_count=2))
+    assert ", mode=parallel_axes," in dump_samples(chain)
 
 
 def test_render_rejects_bad_batches():
@@ -319,6 +323,30 @@ GOLDEN_TABLE_SHA256 = {
     ("phase_hue", 42): "f1badcd76c527a4485c45a9465c75ee969979838e43a9cd81ae41411fadc8002",
 }
 
+# SHA-256 of the same --dump-samples tables in the values-only v2 format.
+GOLDEN_TABLE_V2_SHA256 = {
+    ("fig1", 0): "091b15ad0188fca077fd34719e46361165929b412b6d826b5bd628e306d0dc78",
+    ("fig1", 42): "92e1f2de1cb9c7a7854014453e877f0ddfbcb732625a59432076eabadb69ab30",
+    ("fig2", 0): "23bc347fd7f8cd225493f6d4183ad4c135d490582cd2a0fe52f543e5acca3373",
+    ("fig2", 42): "eaf278a225d391b850f5da81455dea29b315667f77adc609e16099a76c32f0d4",
+    ("fig3", 0): "4254390cb03f53341f576e463e2c2dd70a1ccf379df49e07ffa29fefc8b638dd",
+    ("fig3", 42): "1944e5c3d5a529211d04f890baa204ed3714567148a93d047cedc8e9f35d9cf3",
+    ("fig4", 0): "eee4ad12d80aff4679bbef9e2871f5b5a584502fbbb41f96c9191c5cc675f83f",
+    ("fig4", 42): "9dedc4cfc91fd17be9a20ff31abb4bad5a1f313e6c1569dd2d197f5fbb671901",
+    ("fig5", 0): "327d3dfb44339fdd58a91a1ae759b4f3fadd08d3c34ac4fd0f4f4db4058c8f16",
+    ("fig5", 42): "f1fb68cd4dc04d16da154bdd5806bb008f9e345510dcd1364b5dde5a67d9c569",
+    ("fig6", 0): "f46381b3c16cf428424b27e5362e4e8c4ab3818786cc1894e4525e739cdcf7b9",
+    ("fig6", 42): "316ea03c7268a3248fa79f0814a25e11c25ddca1c0d3364b12fe1ad8c509ff9c",
+    ("fig7", 0): "453a17d673db2779c97b3097d31bab6ac0a1a3f0eb480447a2c34df88b20fa49",
+    ("fig7", 42): "dd4cb32294c3c0a70afd4bb02f045e75da5eb7b4e1d8fd30b1d5ffca140b26f6",
+    ("fig8a", 0): "a2da20ce2155a91e4cf03bcf59122549cac85d9d4ab0540444246e56269aa81c",
+    ("fig8a", 42): "1548e78e2dd4132da8953c000e8544833329bc9c2eac2fd10ea255436550934f",
+    ("fig8b", 0): "3f1df9abd96c830d9962092e576716ed2aef965716d08b01d3be3b7a9d8f2684",
+    ("fig8b", 42): "1450d0368cb3f4825276e4598012b90e32550d755ef8d3977aebf3fd245d4e40",
+    ("phase_hue", 0): "12d6deb524e576576906bbfacadd64131903b85d5343cb7f6fb77e3a0015be83",
+    ("phase_hue", 42): "e84f2ce4fabb05df092e98c36c318827d8496a6286cb04c596bad7e847ec156d",
+}
+
 NON_PRESET_ARGS = {
     "phase_hue": ["--n", "15", "--state", "(a[1] + i a[-1]) vac", "--color-mode", "phase_hue"],
     "mass_kappa_2d": ["--mode2d", "--nu1", "5", "--nu2", "3", "--mass", "2", "--kappa", "0.5"],
@@ -373,14 +401,37 @@ def test_state_dumps_byte_identical_to_golden(state, tmp_path, capsys):
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == GOLDEN_STATE_SHA256[state]
 
 
-@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_TABLE_SHA256))
-def test_sample_tables_byte_identical_to_golden(figure, seed, tmp_path, capsys):
+def _table_bytes(figure, seed, tmp_path):
     table = tmp_path / "samples.txt"
     args = NON_PRESET_ARGS.get(figure, [figure])
     assert main(args + ["--samples", "500", "--seed", str(seed), "--out",
                         str(tmp_path / "figure.svg"), "--dump-samples", str(table)]) == 0
+    return table.read_bytes()
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_TABLE_SHA256))
+def test_sample_tables_byte_identical_to_golden(figure, seed, tmp_path, capsys):
+    # The CLI writes v2 tables.  The v1 table of the batch it wrote still has
+    # the pinned bytes, and load_samples reads those back bit for bit.
+    batch = load_samples(_table_bytes(figure, seed, tmp_path).decode())
     capsys.readouterr()
-    assert hashlib.sha256(table.read_bytes()).hexdigest() == GOLDEN_TABLE_SHA256[figure, seed]
+    v1 = dump_v1(batch)
+    assert hashlib.sha256(v1.encode()).hexdigest() == GOLDEN_TABLE_SHA256[figure, seed]
+    back = load_samples(v1)
+    assert np.array_equal(_bits(back.points), _bits(batch.points))
+    assert np.array_equal(_bits(back.values), _bits(batch.values))
+    assert (back.spec, back.state_label) == (batch.spec, batch.state_label)
+
+
+@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_TABLE_V2_SHA256))
+def test_v2_sample_tables_byte_identical_to_golden(figure, seed, tmp_path, capsys):
+    table = _table_bytes(figure, seed, tmp_path)
+    capsys.readouterr()
+    assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_V2_SHA256[figure, seed]
 
 
 # Reference color maps: the scalar formulas the array kernels replaced.

@@ -1,4 +1,5 @@
-import tracemalloc
+import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qchain.sampling import (
     sample_oscillator2d,
 )
 from qchain.wavefunction import evaluate, evaluate_oscillator2d
+from v1_table import dump_v1, load_rows
 
 
 def test_render_spec_validation():
@@ -149,8 +151,13 @@ def test_state_label_is_one_line():
 def test_state_label_keeps_other_line_separators():
     # str.splitlines splits at these, and a header ends only at '\n'
     spec = RenderSpec(sample_count=1, window=1.0)
-    batch = SampleBatch(np.zeros((1, 3)), np.zeros(1, complex), spec, "a\u2028b\x1c\x85 c, d")
+    batch = SampleBatch(draw_samples(spec, 3), np.zeros(1, complex), spec, "a\u2028b\x1c\x85 c, d")
     assert load_samples(dump_samples(batch)).state_label == batch.state_label
+    assert load_samples(dump_v1(batch)).state_label == batch.state_label
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
 
 
 def test_dump_load_round_trip_bitwise():
@@ -162,43 +169,26 @@ def test_dump_load_round_trip_bitwise():
     text = dump_samples(batch)
 
     header = text.splitlines()[0]
-    assert header.startswith("# qchain-samples v1, ")
+    assert header.startswith("# qchain-samples v2, ")
     assert f"rng={RNG_ID}" in header
     assert "seed=21" in header
-    assert "state=(a[1] + i a[-1]) vac" in header
+    assert header.endswith(", state=(a[1] + i a[-1]) vac")
+    # the documented recipe regenerates the points, and the digest checks them
+    points = np.random.Generator(np.random.PCG64(21)).uniform(-3.0, 3.0, (50, 5))
+    digest = hashlib.sha256(points.astype("<f8").tobytes()).hexdigest()
+    assert f", points_sha256={digest}, state=" in header
+    assert len(text.splitlines()) == 51  # one row of two cells per sample
 
     back = load_samples(text)
     # bit patterns: np.array_equal counts -0.0 equal to 0.0
-    assert np.array_equal(back.points.view(np.uint64), batch.points.view(np.uint64))
-    assert np.array_equal(back.values.view(np.uint64), batch.values.view(np.uint64))
+    assert np.array_equal(_bits(back.points), _bits(batch.points))
+    assert np.array_equal(_bits(back.points), _bits(points))
+    assert np.array_equal(_bits(back.values), _bits(batch.values))
     assert back.spec == batch.spec
     assert back.state_label == batch.state_label
 
     # dump of the loaded batch is byte-identical (stable 17-digit format)
     assert dump_samples(back) == text
-
-
-# Reference codec: the per-cell writer and reader that the one-template-per-row
-# codec replaced; the table text and the loaded bits must not change.
-def _ref_dump_rows(batch):
-    lines = []
-    for row, value in zip(batch.points, batch.values):
-        cols = [f"{c:.17g}" for c in row]
-        cols.append(f"{value.real:.17g}")
-        cols.append(f"{value.imag:.17g}")
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
-
-
-def _ref_load_rows(text, n_dims):
-    rows = text.removesuffix("\n").split("\n")[1:]  # float() ignores a '\r' before the '\n'
-    points = np.empty((len(rows), n_dims))
-    values = np.empty(len(rows), dtype=complex)
-    for i, row in enumerate(rows):
-        cols = row.split(",")
-        points[i] = [float(c) for c in cols[:n_dims]]
-        values[i] = complex(float(cols[n_dims]), float(cols[n_dims + 1]))
-    return points, values
 
 
 _TINY = 5e-324  # smallest subnormal
@@ -211,24 +201,6 @@ _EDGE_VALUES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_EDGE_VALUES))
-def test_codec_matches_per_cell_reference(kind):
-    points = np.array(_EDGE_POINTS)
-    values = np.array(_EDGE_VALUES[kind])
-    spec = RenderSpec(sample_count=len(points), window=1e308, seed=4)
-    batch = SampleBatch(points=points, values=values, spec=spec, state_label="edge")
-    text = dump_samples(batch)
-    assert text.partition("\n")[2] == _ref_dump_rows(batch)
-    assert text.splitlines()[1].startswith("-0,-0,-0,-0,")  # negative zeros survive
-
-    back = load_samples(text)
-    ref_points, ref_values = _ref_load_rows(text, 3)
-    assert np.array_equal(back.points.view(np.uint64), ref_points.view(np.uint64))
-    assert np.array_equal(back.values.view(np.uint64), ref_values.view(np.uint64))
-    assert np.array_equal(back.points.view(np.uint64), points.view(np.uint64))
-    assert np.array_equal(back.values.view(np.uint64), values.astype(complex).view(np.uint64))
-
-
 def _table_batch(table, n_dims=3):
     """A batch whose rows are ``table``: n_dims coordinates, then Re and Im of the value."""
     table = np.asarray(table, dtype=float)
@@ -238,23 +210,49 @@ def _table_batch(table, n_dims=3):
     return SampleBatch(points=table[:, :n_dims], values=values, spec=spec, state_label="t")
 
 
-def _assert_codec_matches_reference(batch):
-    n_dims = batch.n_dims
-    text = dump_samples(batch)
-    assert text.partition("\n")[2] == _ref_dump_rows(batch)
+def _drawn_batch(values, seed=4):
+    """A batch of ``values`` at its spec's seeded draw: one that ``dump_samples`` writes."""
+    spec = RenderSpec(sample_count=len(values), window=3.0, seed=seed)
+    return SampleBatch(draw_samples(spec, 3), np.asarray(values, complex), spec, "t")
+
+
+def _assert_loads_like_reference(batch):
+    # v1: every cell of the batch is in the text
+    text = dump_v1(batch)
     back = load_samples(text)
-    ref_points, ref_values = _ref_load_rows(text, n_dims)
-    assert np.array_equal(back.points.view(np.uint64), ref_points.view(np.uint64))
-    assert np.array_equal(back.values.view(np.uint64), ref_values.view(np.uint64))
-    assert np.array_equal(back.points.view(np.uint64), batch.points.view(np.uint64))
-    assert np.array_equal(back.values.view(np.uint64), batch.values.view(np.uint64))
+    ref_points, ref_values = load_rows(text, batch.n_dims)
+    assert np.array_equal(_bits(back.points), _bits(ref_points))
+    assert np.array_equal(_bits(back.values), _bits(ref_values))
+    assert np.array_equal(_bits(back.points), _bits(batch.points))
+    assert np.array_equal(_bits(back.values), _bits(batch.values))
+    # v2: the same values beside the spec's draw, one '%.17g' per cell
+    batch = _drawn_batch(batch.values)
+    text = dump_samples(batch)
+    rows = zip(batch.values.real.tolist(), batch.values.imag.tolist())
+    assert text.partition("\n")[2] == "".join(f"{re:.17g},{im:.17g}\n" for re, im in rows)
+    back = load_samples(text)
+    assert np.array_equal(_bits(back.values), _bits(load_rows(text, 0)[1]))
+    assert np.array_equal(_bits(back.values), _bits(batch.values))
+    assert np.array_equal(_bits(back.points), _bits(batch.points))
+
+
+@pytest.mark.parametrize("kind", sorted(_EDGE_VALUES))
+def test_codec_matches_per_cell_reference(kind):
+    points = np.array(_EDGE_POINTS)
+    values = np.array(_EDGE_VALUES[kind])
+    spec = RenderSpec(sample_count=len(points), window=1e308, seed=4)
+    batch = SampleBatch(points=points, values=values.astype(complex), spec=spec,
+                        state_label="edge")
+    assert dump_v1(batch).splitlines()[1].startswith("-0,-0,-0,-0,")  # negative zeros survive
+    assert dump_samples(_drawn_batch(values)).splitlines()[1].startswith("-0,")
+    _assert_loads_like_reference(batch)
 
 
 @settings(max_examples=150, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(5)),
               elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_codec_matches_per_cell_reference_on_any_finite_table(table):
-    _assert_codec_matches_reference(_table_batch(table))
+    _assert_loads_like_reference(_table_batch(table))
 
 
 def _edge_cells():
@@ -267,24 +265,64 @@ def _edge_cells():
 
 
 def test_codec_matches_per_cell_reference_on_edges_and_many_chunks():
-    _assert_codec_matches_reference(_table_batch(_edge_cells().reshape(-1, 5)))
+    _assert_loads_like_reference(_table_batch(_edge_cells().reshape(-1, 5)))
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2**64, size=(3000, 17), dtype=np.uint64).view(np.float64)
     bits[~np.isfinite(bits)] = 0.5
     uniform = rng.uniform(-3.0, 3.0, size=(3000, 17))
-    # 102000 cells: several chunks of the array kernels
-    _assert_codec_matches_reference(_table_batch(np.concatenate([bits, uniform]), n_dims=15))
+    # 102000 cells of random bit patterns and of uniform draws
+    _assert_loads_like_reference(_table_batch(np.concatenate([bits, uniform]), n_dims=15))
 
 
 def test_dump_uses_17_digit_floats():
     params = ChainParams(n_sites=3)
     basis = real_mode_basis(params)
     spec = RenderSpec(sample_count=4, window=3.0, seed=2)
-    batch = sample_chain_state(vacuum(params), basis, spec, state_label="vac")
+    batch = sample_chain_state(apply_create(vacuum(params), 1), basis, spec, state_label="a[1] vac")
     row = dump_samples(batch).splitlines()[1].split(",")
-    assert len(row) == 3 + 2
-    for col, val in zip(row, batch.points[0]):
+    assert len(row) == 2  # the value only: the points are redrawn
+    for col, val in zip(row, (batch.values[0].real, batch.values[0].imag)):
         assert float(col) == val  # lossless round-trip
+
+
+def test_dump_rejects_points_that_are_not_the_seeded_draw():
+    batch = _drawn_batch([1.0, -0.5j, 0.25])
+    nudged = batch.points.copy()
+    nudged[1, 2] = np.nextafter(nudged[1, 2], 0.0)
+    other_seed = _drawn_batch(batch.values, seed=5).points
+    loaded_v1 = load_samples(dump_v1(_table_batch(np.full((3, 5), 0.5)))).points
+    for points in (nudged, other_seed, loaded_v1):
+        with pytest.raises(ValueError, match="^the table stores values only; its points must be "
+                                             "the spec's seeded draw$"):
+            dump_samples(SampleBatch(points, batch.values, batch.spec, "t"))
+
+
+def test_v2_table_checks_its_points_digest():
+    text = dump_samples(_drawn_batch([1.0, -0.5j, 0.25 + 0.5j], seed=11))
+    digest = re.search(r", points_sha256=([0-9a-f]{64}),", text).group(1)
+    wrong = text.replace(digest, hashlib.sha256(b"").hexdigest())
+    for edited in (wrong, text.replace(", seed=11,", ", seed=12,")):
+        with pytest.raises(ValueError, match=f"points numpy {re.escape(np.__version__)} draws"):
+            load_samples(edited)
+    with pytest.raises(ValueError, match="^sample table header has no points_sha256= field$"):
+        load_samples(text.replace(f", points_sha256={digest}", ""))
+    lines = text.splitlines()
+    for cells, got in ((lines[2].split(",")[:1], 1), (lines[2].split(",") + ["0"], 3)):
+        broken = lines[:2] + [",".join(cells)] + lines[3:]
+        with pytest.raises(ValueError, match=f"^row 2: expected 2 columns, got {got}$"):
+            load_samples("\n".join(broken) + "\n")
+
+
+def test_v2_line_ends_and_unknown_fields_load_the_same():
+    batch = _drawn_batch([1.0, -0.5j, 0.25 + 0.5j, -0.0], seed=12)
+    text = dump_samples(batch)
+    # a later writer may add key=value fields before state=
+    extra = text.replace(", state=", ", mass=2, kappa=0.5, tool=qchain 9, state=")
+    for odd in (text.replace("\n", "\r\n"), text.removesuffix("\n"), extra):
+        back = load_samples(odd)
+        assert np.array_equal(_bits(back.points), _bits(batch.points))
+        assert np.array_equal(_bits(back.values), _bits(batch.values))
+        assert (back.spec, back.state_label) == (batch.spec, batch.state_label)
 
 
 def test_load_rejects_malformed_tables():
@@ -293,77 +331,96 @@ def test_load_rejects_malformed_tables():
     params = ChainParams(n_sites=3)
     basis = real_mode_basis(params)
     spec = RenderSpec(sample_count=3, window=3.0, seed=2)
-    good = dump_samples(sample_chain_state(vacuum(params), basis, spec, state_label="vac"))
-
-    lines = good.splitlines()
-    with pytest.raises(ValueError):
-        load_samples("\n".join(lines[:-1]) + "\n")  # row count mismatch
-    broken = lines[:]
-    broken[1] = broken[1] + ",0"
-    with pytest.raises(ValueError):
-        load_samples("\n".join(broken) + "\n")  # column count mismatch
-    broken[3] = broken[3].rpartition(",")[0]  # one column too few: the cell total is right
-    with pytest.raises(ValueError, match="row 1: expected 5 columns, got 6"):
-        load_samples("\n".join(broken) + "\n")
-    # a non-numeric cell, an empty cell, and cells whose marks are out of order
-    for cell in ("abc", "", "1.2.3", "1e5e5", "1e+5.5", "--1", "1e+"):
-        broken = lines[:]
-        broken[2] = ",".join([cell] + broken[2].split(",")[1:])
+    batch = sample_chain_state(vacuum(params), basis, spec, state_label="vac")
+    for good, cols in ((dump_samples(batch), 2), (dump_v1(batch), 5)):
+        lines = good.splitlines()
         with pytest.raises(ValueError):
-            load_samples("\n".join(broken) + "\n")
-    with pytest.raises(ValueError):
-        load_samples(good.replace("window=3", "window=0.1"))  # points outside window
-    for row, col, cell in ((1, 0, "nan"), (3, 3, "inf")):  # a NaN coordinate, an infinite value
+            load_samples("\n".join(lines[:-1]) + "\n")  # row count mismatch
         broken = lines[:]
-        cells = broken[row].split(",")
-        cells[col] = cell
-        broken[row] = ",".join(cells)
-        with pytest.raises(ValueError, match=f"row {row}: non-finite cell"):
+        broken[1] = broken[1] + ",0"
+        with pytest.raises(ValueError):
+            load_samples("\n".join(broken) + "\n")  # column count mismatch
+        broken[3] = broken[3].rpartition(",")[0]  # one column too few: the cell total is right
+        with pytest.raises(ValueError, match=f"row 1: expected {cols} columns, got {cols + 1}"):
             load_samples("\n".join(broken) + "\n")
-    with pytest.raises(ValueError):
-        load_samples(good.replace("mode=parallel_axes", "mode=pie_chart"))  # unknown chart
-    with pytest.raises(ValueError, match="chart type 'scatter2d' does not match n_dims=3"):
-        load_samples(good.replace("mode=parallel_axes", "mode=scatter2d"))
-    with pytest.raises(ValueError, match="generator 'mt19937' is not numpy-PCG64"):
-        load_samples(good.replace("rng=numpy-PCG64", "rng=mt19937"))
-    with pytest.raises(ValueError, match="missing the state label"):
-        load_samples(good.replace(", state=vac", ""))
-    for field in ("mode=parallel_axes", "height=560"):  # a header field is missing
-        name = field.partition("=")[0]
-        with pytest.raises(ValueError, match=f"no {name}= field"):
-            load_samples(good.replace(", " + field, ""))
-    header = lines[0].replace("n_dims=3", "n_dims={}").replace("samples=3", "samples=1")
-    for n_dims in (0, -1):  # one row with n_dims + 2 columns
-        table = header.format(n_dims) + "\n" + ",".join(["0.5"] * (n_dims + 2)) + "\n"
-        with pytest.raises(ValueError, match="n_dims must be >= 1"):
-            load_samples(table)
-    # a huge n_dims with a short row: the column error, without a row-sized buffer
-    with pytest.raises(ValueError, match="row 1: expected 1000000000002 columns, got 3"):
-        load_samples(header.format(10**12) + "\n0.5,1,0\n")
+        # a non-numeric cell, an empty cell, and cells whose marks are out of order
+        for cell in ("abc", "", "1.2.3", "1e5e5", "1e+5.5", "--1", "1e+"):
+            broken = lines[:]
+            broken[2] = ",".join([cell] + broken[2].split(",")[1:])
+            with pytest.raises(ValueError):
+                load_samples("\n".join(broken) + "\n")
+        with pytest.raises(ValueError):  # v1: points outside; v2: another draw
+            load_samples(good.replace("window=3", "window=0.1"))
+        # a NaN in the first cell, an infinite imaginary part
+        for row, col, cell in ((1, 0, "nan"), (3, cols - 1, "inf")):
+            broken = lines[:]
+            cells = broken[row].split(",")
+            cells[col] = cell
+            broken[row] = ",".join(cells)
+            with pytest.raises(ValueError, match=f"row {row}: non-finite cell"):
+                load_samples("\n".join(broken) + "\n")
+        with pytest.raises(ValueError):
+            load_samples(good.replace("mode=parallel_axes", "mode=pie_chart"))  # unknown chart
+        with pytest.raises(ValueError, match="chart type 'scatter2d' does not match n_dims=3"):
+            load_samples(good.replace("mode=parallel_axes", "mode=scatter2d"))
+        with pytest.raises(ValueError, match="generator 'mt19937' is not numpy-PCG64"):
+            load_samples(good.replace("rng=numpy-PCG64", "rng=mt19937"))
+        with pytest.raises(ValueError, match="missing the state label"):
+            load_samples(good.replace(", state=vac", ""))
+        for field in ("mode=parallel_axes", "height=560"):  # a header field is missing
+            name = field.partition("=")[0]
+            with pytest.raises(ValueError, match=f"no {name}= field"):
+                load_samples(good.replace(", " + field, ""))
+        header = lines[0].replace("n_dims=3", "n_dims={}").replace("samples=3", "samples=1")
+        for n_dims in (0, -1):  # checked before the rows are read
+            with pytest.raises(ValueError, match="n_dims must be >= 1"):
+                load_samples(header.format(n_dims) + "\n0.5,0.5\n")
+        # a huge n_dims with a short row: the column error, without a row-sized buffer
+        width = 2 if cols == 2 else 10**12 + 2
+        with pytest.raises(ValueError, match=f"^row 1: expected {width} columns, got 3$"):
+            load_samples(header.format(10**12) + "\n0.5,1,0\n")
+
+
+@pytest.mark.parametrize("n_dims", [10**19, 10**30])
+def test_huge_n_dims_gives_the_column_error(n_dims):
+    # nothing is sized from n_dims before the first row's width is checked
+    spec = RenderSpec(sample_count=1, window=1.0)
+    header = dump_v1(SampleBatch(np.zeros((1, 3)), np.zeros(1, complex), spec)).splitlines()[0]
+    table = header.replace("n_dims=3", f"n_dims={n_dims}") + "\n0.5,1,0\n"
+    with pytest.raises(ValueError, match=f"^row 1: expected {n_dims + 2} columns, got 3$"):
+        load_samples(table)
 
 
 def test_load_reads_what_float_reads():
     # line ends, a missing final newline and cells float() takes beyond the
     # canonical form all load as the per-cell reader loads them
     rng = np.random.default_rng(5)
-    text = dump_samples(_table_batch(rng.uniform(-3.0, 3.0, size=(40, 5))))
-    lines = text.splitlines()
-    for i, cell in enumerate(["+1.5", "1E5", " 1.5", "1_0", "1.5 ", "0001.50", "1e5"]):
-        cells = lines[i + 1].split(",")
-        cells[i % 5] = cell
-        lines[i + 1] = ",".join(cells)
-    for odd in ("\r\n".join(lines) + "\r\n", "\n".join(lines)):
-        back = load_samples(odd)
-        ref_points, ref_values = _ref_load_rows(odd, 3)
-        assert np.array_equal(back.points.view(np.uint64), ref_points.view(np.uint64))
-        assert np.array_equal(back.values.view(np.uint64), ref_values.view(np.uint64))
-    assert back.points[0, 0] == 1.5 and back.values[3].real == 10.0  # "+1.5", "1_0"
+    table = rng.uniform(-3.0, 3.0, size=(40, 5))
+    odd_cells = ["+1.5", "1E5", " 1.5", "1_0", "1.5 ", "0001.50", "1e5"]
+    for text, point_cols in ((dump_v1(_table_batch(table)), 3),
+                             (dump_samples(_drawn_batch(table[:, 3] + 1j * table[:, 4])), 0)):
+        lines = text.splitlines()
+        width = point_cols + 2
+        for i, cell in enumerate(odd_cells):
+            cells = lines[i + 1].split(",")
+            cells[i % width] = cell
+            lines[i + 1] = ",".join(cells)
+        for odd in ("\r\n".join(lines) + "\r\n", "\n".join(lines)):
+            back = load_samples(odd)
+            ref_points, ref_values = load_rows(odd, point_cols)
+            if point_cols:
+                assert np.array_equal(_bits(back.points), _bits(ref_points))
+            assert np.array_equal(_bits(back.values), _bits(ref_values))
+        if point_cols:  # "+1.5" and "1_0"
+            assert back.points[0, 0] == 1.5 and back.values[3].real == 10.0
+        else:
+            assert back.values[0].real == 1.5 and back.values[3].imag == 10.0
 
 
-@pytest.mark.parametrize("rows", [(10, 20), (3000, 3500)])  # one chunk, two chunks
+@pytest.mark.parametrize("rows", [(10, 20), (3000, 3500)])
 def test_load_raises_the_first_error_in_row_order(rows):
     table = np.random.default_rng(6).uniform(-3.0, 3.0, size=(4000, 5))
-    lines = dump_samples(_table_batch(table)).splitlines()
+    lines = dump_v1(_table_batch(table)).splitlines()
     messages = {"cell": "could not convert string to float: 'abc'",
                 "columns": "expected 5 columns, got 6"}
     for first, second in (("cell", "columns"), ("columns", "cell")):
@@ -392,21 +449,20 @@ def test_non_finite_window_is_rejected():
     for window in (np.inf, np.nan):
         with pytest.raises(ValueError, match="window must be positive and finite"):
             RenderSpec(window=window)
-    text = dump_samples(_table_batch(np.full((2, 5), 0.5)))
+    text = dump_v1(_table_batch(np.full((2, 5), 0.5)))
     with pytest.raises(ValueError, match="window must be positive and finite"):
         load_samples(text.replace(f"window={np.finfo(float).max:.17g}", "window=inf"))
 
 
 def test_load_splits_rows_at_newlines_across_chunks():
-    # 8000 x 5 cells span several of the chunks the loader reads the text in
-    text = dump_samples(_table_batch(np.random.default_rng(9).uniform(-3.0, 3.0, size=(8000, 5))))
+    text = dump_v1(_table_batch(np.random.default_rng(9).uniform(-3.0, 3.0, size=(8000, 5))))
     lines = text.splitlines()
     for odd in (text, "\r\n".join(lines) + "\r\n", "\n".join(lines)):
         back = load_samples(odd)
-        ref_points, ref_values = _ref_load_rows(odd, 3)
+        ref_points, ref_values = load_rows(odd, 3)
         assert len(ref_points) == 8000
-        assert np.array_equal(back.points.view(np.uint64), ref_points.view(np.uint64))
-        assert np.array_equal(back.values.view(np.uint64), ref_values.view(np.uint64))
+        assert np.array_equal(_bits(back.points), _bits(ref_points))
+        assert np.array_equal(_bits(back.values), _bits(ref_values))
     # a row ends only at '\n': other line ends leave one row of every cell
     for end in ("\r", "\x1c"):
         with pytest.raises(ValueError, match="^expected 8000 rows, found 1$"):
@@ -414,9 +470,9 @@ def test_load_splits_rows_at_newlines_across_chunks():
 
 
 def test_load_checks_the_row_count_first():
-    text = dump_samples(_table_batch(np.random.default_rng(10).uniform(-3.0, 3.0, size=(8000, 5))))
+    text = dump_v1(_table_batch(np.random.default_rng(10).uniform(-3.0, 3.0, size=(8000, 5))))
     lines = text.splitlines()
-    lines[3] = "abc" + lines[3][lines[3].index(","):]  # a bad cell in the first chunk
+    lines[3] = "abc" + lines[3][lines[3].index(","):]  # a bad cell in an early row
     for rows, found in ((lines[:-1], 7999), (lines + lines[5:6], 8001)):
         with pytest.raises(ValueError, match=f"^expected 8000 rows, found {found}$"):
             load_samples("\n".join(rows) + "\n")
@@ -426,38 +482,6 @@ def test_load_checks_the_row_count_first():
     short = "\n".join(lines[:1] + [",,,,", ",,,,"]).replace("samples=8000", "samples=2")
     with pytest.raises(ValueError, match="^could not convert string to float: ''$"):
         load_samples(short)
-
-
-@pytest.fixture(scope="module")
-def vacuum_table_n101():
-    """A 20000-row table of the N=101 vacuum, about 40 MB of text."""
-    params = ChainParams(n_sites=101)
-    basis = real_mode_basis(params)
-    spec = RenderSpec(sample_count=20000, window=chain_window(basis), seed=3)
-    batch = sample_chain_state(vacuum(params), basis, spec, state_label="vac")
-    return batch, dump_samples(batch)
-
-
-def _peak_bytes(call, arg):
-    """Peak memory that ``call(arg)`` allocates, as tracemalloc counts it."""
-    tracemalloc.start()
-    try:
-        call(arg)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_load_memory_stays_below_the_text_size(vacuum_table_n101):
-    # the table (0.41x the text) plus chunk-sized temporaries
-    _, text = vacuum_table_n101
-    assert _peak_bytes(load_samples, text) < 1.0 * len(text)
-
-
-def test_dump_memory_is_the_text_and_its_parts(vacuum_table_n101):
-    # the chunks' text and the one join of them: 2x the text, no table copy
-    batch, text = vacuum_table_n101
-    assert _peak_bytes(dump_samples, batch) < 2.15 * len(text)
 
 
 def test_corner_amplitude_negligible_for_decoupled_small_chains():
