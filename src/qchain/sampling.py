@@ -3,8 +3,9 @@
 Samples are drawn i.i.d. uniform from the hypercube [-L, L]^N by a named,
 seeded generator (numpy's PCG64), so a fixed (seed, sample count, dimension,
 window) tuple reproduces the exact same points.  The generator identifier and
-all draw parameters travel with every output so figures can be regenerated
-bit for bit.
+the draw parameters travel with every output, so the points regenerate from
+them.  The values also need the state's mass, kappa and gamma, which no output
+records yet.
 
 A sample table (``# qchain-samples v2``) is one header line and one row per
 sample.  The points are not stored: the header records the draw parameters
@@ -14,8 +15,7 @@ float64 bytes, and a reader regenerates them as
 checks them against the digest, since numpy does not promise that a
 ``Generator`` stream stays the same across versions.  Each row holds the real
 and imaginary part of one value, each written as ``'%.17g' % x`` and read
-back with ``float``, so a table is lossless and byte-deterministic.  A v1
-table, whose rows also hold the N coordinates, still loads.
+back with ``float``, so a table is lossless and byte-deterministic.
 
 The header and each row end at a '\\n' (the last row may lack it), and a
 '\\r' before it is ignored.  Header fields other than the ones read are
@@ -48,7 +48,8 @@ __all__ = [
 
 RNG_ID = "numpy-PCG64"
 
-_V1_HEAD, _V2_HEAD = "# qchain-samples v1, ", "# qchain-samples v2, "
+_HEAD = "# qchain-samples v2, "
+_MAX_POINT_CELLS = 2**28  # samples x n_dims of a table: 2 GiB of points; N=1001 x 20000 is 2e7
 
 COLOR_MODES = ("diverging_real", "phase_hue")
 
@@ -176,6 +177,9 @@ def _seeded_draw(spec: RenderSpec, n_dims: int) -> tuple[np.ndarray, str]:
     """The spec's draw and the SHA-256 of its C-order little-endian float64 bytes."""
     import hashlib  # on first use: ``import qchain`` does not load it
 
+    if spec.sample_count * n_dims > _MAX_POINT_CELLS:
+        raise ValueError(f"a sample table holds at most {_MAX_POINT_CELLS} point cells "
+                         f"(samples x n_dims), not {spec.sample_count} x {n_dims}")
     points = draw_samples(spec, n_dims)
     return points, hashlib.sha256(np.ascontiguousarray(points, "<f8")).hexdigest()
 
@@ -196,7 +200,7 @@ def dump_samples(batch: SampleBatch) -> str:
     if not np.array_equal(given.view(np.uint64), points.view(np.uint64)):  # -0.0 is not 0.0
         raise ValueError("the table stores values only; its points must be the spec's seeded draw")
     header = (
-        f"# qchain-samples v2, n_dims={batch.n_dims}, samples={spec.sample_count}, "
+        f"{_HEAD}n_dims={batch.n_dims}, samples={spec.sample_count}, "
         f"seed={spec.seed}, window={spec.window:.17g}, mode={_chart_type(batch.n_dims)}, "
         f"color_mode={spec.color_mode}, width={spec.width}, height={spec.height}, "
         f"rng={RNG_ID}, points_sha256={digest}, state={batch.state_label}\n"
@@ -206,37 +210,26 @@ def dump_samples(batch: SampleBatch) -> str:
     return header + "".join(rows)
 
 
-def _read_rows(rows: list[str], cols: int) -> np.ndarray:
-    """``float`` of every cell, as an (M, cols) table; the first bad row raises,
-    its column count checked before its cells."""
-    from array import array
-
-    cells = array("d")  # grows with the rows read: nothing is sized from ``cols``
-    for i, row in enumerate(rows):
-        row = row.split(",")
-        if len(row) != cols:
-            raise ValueError(f"row {i + 1}: expected {cols} columns, got {len(row)}")
-        cells.extend(map(float, row))
-    return np.frombuffer(cells).reshape(len(rows), cols)
-
-
 def load_samples(text: str) -> SampleBatch:
     """Parse a sample table back into a batch (inverse of :func:`dump_samples`).
 
-    Reads both table versions: v2 rows hold the values and the points are
-    redrawn and checked against ``points_sha256=``; v1 rows hold the points
-    too.  The header and each row end at a '\\n', the last row may lack it,
-    and a '\\r' before the '\\n' is ignored.  Header fields other than the
-    ones read are ignored.  A malformed table, one whose digest does not
-    match this numpy's draw, or one that breaks a :class:`SampleBatch` rule
-    raises ValueError.
+    Rows hold the values; the points are redrawn and checked against
+    ``points_sha256=``.  The header and each row end at a '\\n', the last row
+    may lack it, and a '\\r' before the '\\n' is ignored.  Header fields
+    other than the ones read are ignored.  A malformed table, a v1 table, one
+    whose digest does not match this numpy's draw, one of more than
+    ``_MAX_POINT_CELLS`` point cells, or one that breaks a
+    :class:`SampleBatch` rule raises ValueError.
     """
+    from array import array
+
     header, _, body = text.partition("\n")
-    version = header[:len(_V2_HEAD)]  # both heads have one length
-    if version not in (_V1_HEAD, _V2_HEAD):
+    if header.startswith("# qchain-samples v1, "):
+        raise ValueError("qchain-samples v1 tables are no longer read; dump_samples writes v2")
+    if not header.startswith(_HEAD):
         raise ValueError("not a qchain sample table")
     # state=... is last and parsed greedily: its value may contain commas.
-    head, sep, state_label = header[len(version):].removesuffix("\r").partition(", state=")
+    head, sep, state_label = header[len(_HEAD):].removesuffix("\r").partition(", state=")
     if not sep:
         raise ValueError("sample table header missing the state label")
     meta = {}
@@ -257,7 +250,7 @@ def load_samples(text: str) -> SampleBatch:
             width=int(meta["width"]),
             height=int(meta["height"]),
         )
-        digest = meta["points_sha256"] if version == _V2_HEAD else None
+        digest = meta["points_sha256"]
     except KeyError as exc:
         raise ValueError(f"sample table header has no {exc.args[0]}= field") from None
     if n_dims < 1:
@@ -267,15 +260,16 @@ def load_samples(text: str) -> SampleBatch:
         rows.pop()
     if len(rows) != spec.sample_count:
         raise ValueError(f"expected {spec.sample_count} rows, found {len(rows)}")
-    if digest is None:
-        table = _read_rows(rows, n_dims + 2)
-        points = table[:, :n_dims]
-    else:
-        table = _read_rows(rows, 2)
-        points, redrawn = _seeded_draw(spec, n_dims)
-        if redrawn != digest:
-            raise ValueError("points_sha256 is not the digest of the points numpy "
-                             f"{np.__version__} draws for this header: the table was edited, "
-                             f"or this numpy's PCG64 stream differs from the writer's")
-    values = np.ascontiguousarray(table[:, -2:]).view(complex)[:, 0]  # keeps -0.0 parts
+    cells = array("d")  # the first bad row raises, its column count checked before its cells
+    for i, row in enumerate(rows):
+        row = row.split(",")
+        if len(row) != 2:
+            raise ValueError(f"row {i + 1}: expected 2 columns, got {len(row)}")
+        cells.extend(map(float, row))
+    values = np.frombuffer(cells).view(complex)  # keeps -0.0 parts
+    points, redrawn = _seeded_draw(spec, n_dims)
+    if redrawn != digest:
+        raise ValueError("points_sha256 is not the digest of the points numpy "
+                         f"{np.__version__} draws for this header: the table was edited, "
+                         f"or this numpy's PCG64 stream differs from the writer's")
     return SampleBatch(points=points, values=values, spec=spec, state_label=state_label)

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .chain import ModeBasis, _check_oscillator, build_coupling_matrix
-from .fock import CreatorState, FockState, energy_eigenvalue
+from .chain import ModeBasis, _check_integer, _check_oscillator, build_coupling_matrix
+from .fock import CreatorState, FockState, energy_eigenvalue, expand_state
 
 __all__ = [
     "evaluate",
@@ -158,6 +158,8 @@ def evaluate_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float, points)
     nu2 along the second: the creators are the two unit vectors, applied
     nu1 and nu2 times.
     """
+    _check_integer("nu1", nu1)
+    _check_integer("nu2", nu2)
     if nu1 < 0 or nu2 < 0:
         raise ValueError("quantum numbers must be non-negative")
     _check_oscillator(mass, kappa)
@@ -169,7 +171,7 @@ def evaluate_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float, points)
     return _wick_sum(np.eye(2), [(1.0, (nu1, nu2))], points * scale, scale)
 
 
-def hamiltonian_residual(state: FockState, basis: ModeBasis, q,
+def hamiltonian_residual(state: CreatorState | FockState, basis: ModeBasis, q,
                          floor_ref: float | None = None) -> float:
     """Deviation of the finite-difference energy of an eigenstate at q.
 
@@ -184,7 +186,10 @@ def hamiltonian_residual(state: FockState, basis: ModeBasis, q,
     where |psi(q)| < 1e-6 * floor_ref are rejected (near-nodal division);
     ``floor_ref`` defaults to |psi(0)|, which is zero for odd-parity states,
     so callers probing those should pass a scale such as the batch maximum.
+    A ``CreatorState`` is expanded into its occupation-number terms first.
     """
+    if isinstance(state, CreatorState):
+        state = expand_state(state)
     if len(state.terms) != 1:
         raise ValueError("residual check requires a single-occupation eigenstate")
     q = np.asarray(q, dtype=float)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qchain import sampling
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.fock import apply_create, vacuum
 from qchain.sampling import (
@@ -22,7 +23,7 @@ from qchain.sampling import (
     sample_oscillator2d,
 )
 from qchain.wavefunction import evaluate, evaluate_oscillator2d
-from v1_table import dump_v1, load_rows
+from v1_table import dump_v1
 
 
 def test_render_spec_validation():
@@ -153,7 +154,6 @@ def test_state_label_keeps_other_line_separators():
     spec = RenderSpec(sample_count=1, window=1.0)
     batch = SampleBatch(draw_samples(spec, 3), np.zeros(1, complex), spec, "a\u2028b\x1c\x85 c, d")
     assert load_samples(dump_samples(batch)).state_label == batch.state_label
-    assert load_samples(dump_v1(batch)).state_label == batch.state_label
 
 
 def _bits(array):
@@ -192,8 +192,6 @@ def test_dump_load_round_trip_bitwise():
 
 
 _TINY = 5e-324  # smallest subnormal
-_EDGE_POINTS = [[-0.0, -0.0, -0.0], [0.0, _TINY, -_TINY], [1e308, -1e308, 2.2e-308],
-                [-1e-310, 1.5, -2.5], [1 / 3, -2 / 3, 1e-300]]
 _EDGE_VALUES = {
     "complex": [complex(-0.0, -0.0), complex(_TINY, -_TINY), complex(1e308, -1e308),
                 complex(-1e-310, 0.0), complex(0.1, -0.0)],
@@ -216,43 +214,40 @@ def _drawn_batch(values, seed=4):
     return SampleBatch(draw_samples(spec, 3), np.asarray(values, complex), spec, "t")
 
 
+def _cell_batch(cells):
+    """A drawn batch whose values are ``cells``, an (M, 2) table of Re and Im."""
+    return _drawn_batch(np.ascontiguousarray(cells, float).view(complex)[:, 0])  # keeps -0.0
+
+
+def _reference_values(text):
+    """The values of a table's rows, one ``float`` call per cell."""
+    rows = text.removesuffix("\n").split("\n")[1:]  # float() ignores a '\r' before the '\n'
+    return np.array([complex(*map(float, row.split(","))) for row in rows], dtype=complex)
+
+
 def _assert_loads_like_reference(batch):
-    # v1: every cell of the batch is in the text
-    text = dump_v1(batch)
-    back = load_samples(text)
-    ref_points, ref_values = load_rows(text, batch.n_dims)
-    assert np.array_equal(_bits(back.points), _bits(ref_points))
-    assert np.array_equal(_bits(back.values), _bits(ref_values))
-    assert np.array_equal(_bits(back.points), _bits(batch.points))
-    assert np.array_equal(_bits(back.values), _bits(batch.values))
-    # v2: the same values beside the spec's draw, one '%.17g' per cell
-    batch = _drawn_batch(batch.values)
+    # the values beside the spec's draw, one '%.17g' per cell
     text = dump_samples(batch)
     rows = zip(batch.values.real.tolist(), batch.values.imag.tolist())
     assert text.partition("\n")[2] == "".join(f"{re:.17g},{im:.17g}\n" for re, im in rows)
     back = load_samples(text)
-    assert np.array_equal(_bits(back.values), _bits(load_rows(text, 0)[1]))
+    assert np.array_equal(_bits(back.values), _bits(_reference_values(text)))
     assert np.array_equal(_bits(back.values), _bits(batch.values))
     assert np.array_equal(_bits(back.points), _bits(batch.points))
 
 
 @pytest.mark.parametrize("kind", sorted(_EDGE_VALUES))
 def test_codec_matches_per_cell_reference(kind):
-    points = np.array(_EDGE_POINTS)
-    values = np.array(_EDGE_VALUES[kind])
-    spec = RenderSpec(sample_count=len(points), window=1e308, seed=4)
-    batch = SampleBatch(points=points, values=values.astype(complex), spec=spec,
-                        state_label="edge")
-    assert dump_v1(batch).splitlines()[1].startswith("-0,-0,-0,-0,")  # negative zeros survive
-    assert dump_samples(_drawn_batch(values)).splitlines()[1].startswith("-0,")
+    batch = _drawn_batch(_EDGE_VALUES[kind])
+    assert dump_samples(batch).splitlines()[1].startswith("-0,")  # negative zeros survive
     _assert_loads_like_reference(batch)
 
 
 @settings(max_examples=150, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(5)),
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(2)),
               elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_codec_matches_per_cell_reference_on_any_finite_table(table):
-    _assert_loads_like_reference(_table_batch(table))
+    _assert_loads_like_reference(_cell_batch(table))
 
 
 def _edge_cells():
@@ -261,17 +256,17 @@ def _edge_cells():
     cells = [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16, 1e17, 1e23,
              1000000000000000.25, 1000000000000000.75, *ulp, *powers]  # two exact ties
     cells += [-c for c in cells]
-    return np.array(cells + [0.0] * (-len(cells) % 5))
+    return np.array(cells)
 
 
 def test_codec_matches_per_cell_reference_on_edges_and_many_chunks():
-    _assert_loads_like_reference(_table_batch(_edge_cells().reshape(-1, 5)))
+    _assert_loads_like_reference(_cell_batch(_edge_cells().reshape(-1, 2)))
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2**64, size=(3000, 17), dtype=np.uint64).view(np.float64)
     bits[~np.isfinite(bits)] = 0.5
     uniform = rng.uniform(-3.0, 3.0, size=(3000, 17))
     # 102000 cells of random bit patterns and of uniform draws
-    _assert_loads_like_reference(_table_batch(np.concatenate([bits, uniform]), n_dims=15))
+    _assert_loads_like_reference(_cell_batch(np.concatenate([bits, uniform]).reshape(-1, 2)))
 
 
 def test_dump_uses_17_digit_floats():
@@ -290,8 +285,7 @@ def test_dump_rejects_points_that_are_not_the_seeded_draw():
     nudged = batch.points.copy()
     nudged[1, 2] = np.nextafter(nudged[1, 2], 0.0)
     other_seed = _drawn_batch(batch.values, seed=5).points
-    loaded_v1 = load_samples(dump_v1(_table_batch(np.full((3, 5), 0.5)))).points
-    for points in (nudged, other_seed, loaded_v1):
+    for points in (nudged, other_seed):
         with pytest.raises(ValueError, match="^the table stores values only; its points must be "
                                              "the spec's seeded draw$"):
             dump_samples(SampleBatch(points, batch.values, batch.spec, "t"))
@@ -326,69 +320,94 @@ def test_v2_line_ends_and_unknown_fields_load_the_same():
 
 
 def test_load_rejects_malformed_tables():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a qchain sample table$"):
         load_samples("not a table\n")
     params = ChainParams(n_sites=3)
     basis = real_mode_basis(params)
     spec = RenderSpec(sample_count=3, window=3.0, seed=2)
     batch = sample_chain_state(vacuum(params), basis, spec, state_label="vac")
-    for good, cols in ((dump_samples(batch), 2), (dump_v1(batch), 5)):
-        lines = good.splitlines()
-        with pytest.raises(ValueError):
-            load_samples("\n".join(lines[:-1]) + "\n")  # row count mismatch
+    # a v1 table, whose rows also held the points, is no longer read
+    for v1 in (dump_v1(batch), dump_v1(batch).replace("\n", "\r\n")):
+        with pytest.raises(ValueError, match="^qchain-samples v1 tables are no longer read"):
+            load_samples(v1)
+    good = dump_samples(batch)
+    lines = good.splitlines()
+    with pytest.raises(ValueError):
+        load_samples("\n".join(lines[:-1]) + "\n")  # row count mismatch
+    broken = lines[:]
+    broken[1] = broken[1] + ",0"
+    with pytest.raises(ValueError):
+        load_samples("\n".join(broken) + "\n")  # column count mismatch
+    broken[3] = broken[3].rpartition(",")[0]  # one column too few: the cell total is right
+    with pytest.raises(ValueError, match="row 1: expected 2 columns, got 3"):
+        load_samples("\n".join(broken) + "\n")
+    # a non-numeric cell, an empty cell, and cells whose marks are out of order
+    for cell in ("abc", "", "1.2.3", "1e5e5", "1e+5.5", "--1", "1e+"):
         broken = lines[:]
-        broken[1] = broken[1] + ",0"
+        broken[2] = ",".join([cell] + broken[2].split(",")[1:])
         with pytest.raises(ValueError):
-            load_samples("\n".join(broken) + "\n")  # column count mismatch
-        broken[3] = broken[3].rpartition(",")[0]  # one column too few: the cell total is right
-        with pytest.raises(ValueError, match=f"row 1: expected {cols} columns, got {cols + 1}"):
             load_samples("\n".join(broken) + "\n")
-        # a non-numeric cell, an empty cell, and cells whose marks are out of order
-        for cell in ("abc", "", "1.2.3", "1e5e5", "1e+5.5", "--1", "1e+"):
-            broken = lines[:]
-            broken[2] = ",".join([cell] + broken[2].split(",")[1:])
-            with pytest.raises(ValueError):
-                load_samples("\n".join(broken) + "\n")
-        with pytest.raises(ValueError):  # v1: points outside; v2: another draw
-            load_samples(good.replace("window=3", "window=0.1"))
-        # a NaN in the first cell, an infinite imaginary part
-        for row, col, cell in ((1, 0, "nan"), (3, cols - 1, "inf")):
-            broken = lines[:]
-            cells = broken[row].split(",")
-            cells[col] = cell
-            broken[row] = ",".join(cells)
-            with pytest.raises(ValueError, match=f"row {row}: non-finite cell"):
-                load_samples("\n".join(broken) + "\n")
-        with pytest.raises(ValueError):
-            load_samples(good.replace("mode=parallel_axes", "mode=pie_chart"))  # unknown chart
-        with pytest.raises(ValueError, match="chart type 'scatter2d' does not match n_dims=3"):
-            load_samples(good.replace("mode=parallel_axes", "mode=scatter2d"))
-        with pytest.raises(ValueError, match="generator 'mt19937' is not numpy-PCG64"):
-            load_samples(good.replace("rng=numpy-PCG64", "rng=mt19937"))
-        with pytest.raises(ValueError, match="missing the state label"):
-            load_samples(good.replace(", state=vac", ""))
-        for field in ("mode=parallel_axes", "height=560"):  # a header field is missing
-            name = field.partition("=")[0]
-            with pytest.raises(ValueError, match=f"no {name}= field"):
-                load_samples(good.replace(", " + field, ""))
-        header = lines[0].replace("n_dims=3", "n_dims={}").replace("samples=3", "samples=1")
-        for n_dims in (0, -1):  # checked before the rows are read
-            with pytest.raises(ValueError, match="n_dims must be >= 1"):
-                load_samples(header.format(n_dims) + "\n0.5,0.5\n")
-        # a huge n_dims with a short row: the column error, without a row-sized buffer
-        width = 2 if cols == 2 else 10**12 + 2
-        with pytest.raises(ValueError, match=f"^row 1: expected {width} columns, got 3$"):
-            load_samples(header.format(10**12) + "\n0.5,1,0\n")
+    with pytest.raises(ValueError):  # another draw
+        load_samples(good.replace("window=3", "window=0.1"))
+    # a NaN in the first cell, an infinite imaginary part
+    for row, col, cell in ((1, 0, "nan"), (3, 1, "inf")):
+        broken = lines[:]
+        cells = broken[row].split(",")
+        cells[col] = cell
+        broken[row] = ",".join(cells)
+        with pytest.raises(ValueError, match=f"row {row}: non-finite cell"):
+            load_samples("\n".join(broken) + "\n")
+    with pytest.raises(ValueError):
+        load_samples(good.replace("mode=parallel_axes", "mode=pie_chart"))  # unknown chart
+    with pytest.raises(ValueError, match="chart type 'scatter2d' does not match n_dims=3"):
+        load_samples(good.replace("mode=parallel_axes", "mode=scatter2d"))
+    with pytest.raises(ValueError, match="generator 'mt19937' is not numpy-PCG64"):
+        load_samples(good.replace("rng=numpy-PCG64", "rng=mt19937"))
+    with pytest.raises(ValueError, match="missing the state label"):
+        load_samples(good.replace(", state=vac", ""))
+    for field in ("mode=parallel_axes", "height=560"):  # a header field is missing
+        name = field.partition("=")[0]
+        with pytest.raises(ValueError, match=f"no {name}= field"):
+            load_samples(good.replace(", " + field, ""))
+    header = lines[0].replace("n_dims=3", "n_dims={}").replace("samples=3", "samples=1")
+    for n_dims in (0, -1):  # checked before the rows are read
+        with pytest.raises(ValueError, match="n_dims must be >= 1"):
+            load_samples(header.format(n_dims) + "\n0.5,0.5\n")
+    # a huge n_dims with a short row: the column error, without a row-sized buffer
+    with pytest.raises(ValueError, match="^row 1: expected 2 columns, got 3$"):
+        load_samples(header.format(10**12) + "\n0.5,1,0\n")
 
 
 @pytest.mark.parametrize("n_dims", [10**19, 10**30])
 def test_huge_n_dims_gives_the_column_error(n_dims):
-    # nothing is sized from n_dims before the first row's width is checked
-    spec = RenderSpec(sample_count=1, window=1.0)
-    header = dump_v1(SampleBatch(np.zeros((1, 3)), np.zeros(1, complex), spec)).splitlines()[0]
+    # the rows are read before anything is sized from n_dims
+    header = dump_samples(_drawn_batch([0.5])).splitlines()[0]
     table = header.replace("n_dims=3", f"n_dims={n_dims}") + "\n0.5,1,0\n"
-    with pytest.raises(ValueError, match=f"^row 1: expected {n_dims + 2} columns, got 3$"):
+    with pytest.raises(ValueError, match="^row 1: expected 2 columns, got 3$"):
         load_samples(table)
+
+
+@pytest.mark.parametrize("n_dims", [10**12, 10**19, 10**30])
+def test_huge_n_dims_hits_the_point_cell_limit(n_dims):
+    # well-formed rows: the limit fails the header before the redraw is sized
+    header = dump_samples(_drawn_batch([0.5])).splitlines()[0]
+    table = header.replace("n_dims=3", f"n_dims={n_dims}") + "\n0.5,1\n"
+    with pytest.raises(ValueError, match=rf"^a sample table holds at most {2**28} point cells "
+                                         rf"\(samples x n_dims\), not 1 x {n_dims}$"):
+        load_samples(table)
+
+
+def test_dump_and_load_share_the_point_cell_limit(monkeypatch):
+    assert 10 * 20000 * 1001 <= sampling._MAX_POINT_CELLS  # N=1001 at 20000 samples, and more
+    batch = _drawn_batch([0.5, 1j, -0.25])  # 3 x 3 point cells
+    text = dump_samples(batch)
+    monkeypatch.setattr(sampling, "_MAX_POINT_CELLS", 8)
+    for call, arg in ((dump_samples, batch), (load_samples, text)):
+        with pytest.raises(ValueError, match=r"at most 8 point cells \(samples x n_dims\), "
+                                             r"not 3 x 3$"):
+            call(arg)
+    monkeypatch.setattr(sampling, "_MAX_POINT_CELLS", 9)
+    assert dump_samples(load_samples(text)) == text
 
 
 def test_load_reads_what_float_reads():
@@ -397,32 +416,23 @@ def test_load_reads_what_float_reads():
     rng = np.random.default_rng(5)
     table = rng.uniform(-3.0, 3.0, size=(40, 5))
     odd_cells = ["+1.5", "1E5", " 1.5", "1_0", "1.5 ", "0001.50", "1e5"]
-    for text, point_cols in ((dump_v1(_table_batch(table)), 3),
-                             (dump_samples(_drawn_batch(table[:, 3] + 1j * table[:, 4])), 0)):
-        lines = text.splitlines()
-        width = point_cols + 2
-        for i, cell in enumerate(odd_cells):
-            cells = lines[i + 1].split(",")
-            cells[i % width] = cell
-            lines[i + 1] = ",".join(cells)
-        for odd in ("\r\n".join(lines) + "\r\n", "\n".join(lines)):
-            back = load_samples(odd)
-            ref_points, ref_values = load_rows(odd, point_cols)
-            if point_cols:
-                assert np.array_equal(_bits(back.points), _bits(ref_points))
-            assert np.array_equal(_bits(back.values), _bits(ref_values))
-        if point_cols:  # "+1.5" and "1_0"
-            assert back.points[0, 0] == 1.5 and back.values[3].real == 10.0
-        else:
-            assert back.values[0].real == 1.5 and back.values[3].imag == 10.0
+    lines = dump_samples(_drawn_batch(table[:, 3] + 1j * table[:, 4])).splitlines()
+    for i, cell in enumerate(odd_cells):
+        cells = lines[i + 1].split(",")
+        cells[i % 2] = cell
+        lines[i + 1] = ",".join(cells)
+    for odd in ("\r\n".join(lines) + "\r\n", "\n".join(lines)):
+        back = load_samples(odd)
+        assert np.array_equal(_bits(back.values), _bits(_reference_values(odd)))
+        assert back.values[0].real == 1.5 and back.values[3].imag == 10.0  # "+1.5" and "1_0"
 
 
 @pytest.mark.parametrize("rows", [(10, 20), (3000, 3500)])
 def test_load_raises_the_first_error_in_row_order(rows):
     table = np.random.default_rng(6).uniform(-3.0, 3.0, size=(4000, 5))
-    lines = dump_v1(_table_batch(table)).splitlines()
+    lines = dump_samples(_cell_batch(table[:, 3:])).splitlines()
     messages = {"cell": "could not convert string to float: 'abc'",
-                "columns": "expected 5 columns, got 6"}
+                "columns": "expected 2 columns, got 3"}
     for first, second in (("cell", "columns"), ("columns", "cell")):
         broken = lines[:]
         for kind, row in zip((first, second), rows):
@@ -433,7 +443,7 @@ def test_load_raises_the_first_error_in_row_order(rows):
             load_samples("\n".join(broken) + "\n")
         assert messages[first] in str(info.value)
         if first == "columns":
-            assert str(info.value) == f"row {rows[0]}: expected 5 columns, got 6"
+            assert str(info.value) == f"row {rows[0]}: expected 2 columns, got 3"
 
 
 def test_dump_rejects_non_finite_cells():
@@ -449,19 +459,20 @@ def test_non_finite_window_is_rejected():
     for window in (np.inf, np.nan):
         with pytest.raises(ValueError, match="window must be positive and finite"):
             RenderSpec(window=window)
-    text = dump_v1(_table_batch(np.full((2, 5), 0.5)))
+    text = dump_samples(_drawn_batch([0.5 + 0.5j] * 2))
     with pytest.raises(ValueError, match="window must be positive and finite"):
-        load_samples(text.replace(f"window={np.finfo(float).max:.17g}", "window=inf"))
+        load_samples(text.replace(", window=3,", ", window=inf,"))
 
 
 def test_load_splits_rows_at_newlines_across_chunks():
-    text = dump_v1(_table_batch(np.random.default_rng(9).uniform(-3.0, 3.0, size=(8000, 5))))
+    batch = _cell_batch(np.random.default_rng(9).uniform(-3.0, 3.0, size=(8000, 5))[:, 3:])
+    text = dump_samples(batch)
     lines = text.splitlines()
     for odd in (text, "\r\n".join(lines) + "\r\n", "\n".join(lines)):
         back = load_samples(odd)
-        ref_points, ref_values = load_rows(odd, 3)
-        assert len(ref_points) == 8000
-        assert np.array_equal(_bits(back.points), _bits(ref_points))
+        ref_values = _reference_values(odd)
+        assert len(ref_values) == 8000
+        assert np.array_equal(_bits(back.points), _bits(batch.points))
         assert np.array_equal(_bits(back.values), _bits(ref_values))
     # a row ends only at '\n': other line ends leave one row of every cell
     for end in ("\r", "\x1c"):
@@ -470,8 +481,8 @@ def test_load_splits_rows_at_newlines_across_chunks():
 
 
 def test_load_checks_the_row_count_first():
-    text = dump_v1(_table_batch(np.random.default_rng(10).uniform(-3.0, 3.0, size=(8000, 5))))
-    lines = text.splitlines()
+    table = np.random.default_rng(10).uniform(-3.0, 3.0, size=(8000, 5))
+    lines = dump_samples(_cell_batch(table[:, 3:])).splitlines()
     lines[3] = "abc" + lines[3][lines[3].index(","):]  # a bad cell in an early row
     for rows, found in ((lines[:-1], 7999), (lines + lines[5:6], 8001)):
         with pytest.raises(ValueError, match=f"^expected 8000 rows, found {found}$"):
@@ -479,7 +490,7 @@ def test_load_checks_the_row_count_first():
     with pytest.raises(ValueError, match="^expected 1000000000000000 rows, found 3$"):
         load_samples("\n".join(lines[:4]).replace("samples=8000", "samples=1000000000000000"))
     # too little text for a valid table of this many rows: the first bad cell is named
-    short = "\n".join(lines[:1] + [",,,,", ",,,,"]).replace("samples=8000", "samples=2")
+    short = "\n".join(lines[:1] + [",", ","]).replace("samples=8000", "samples=2")
     with pytest.raises(ValueError, match="^could not convert string to float: ''$"):
         load_samples(short)
 

@@ -194,6 +194,9 @@ def test_oscillator2d_values():
     assert np.allclose(got, ref, rtol=1e-14)
     with pytest.raises(ValueError):
         evaluate_oscillator2d(-1, 0, 1.0, 1.0, pts)
+    for nu1, nu2 in ((0.5, 0), (0, 1.0), (True, 0), (2.0, 1)):  # one integer rule
+        with pytest.raises(ValueError, match="^nu[12] must be an integer, got "):
+            evaluate_oscillator2d(nu1, nu2, 1.0, 1.0, pts)
     with pytest.raises(ValueError):
         evaluate_oscillator2d(0, 0, 1.0, 1.0, np.zeros((3, 4)))
     for mass, kappa in ((0.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
@@ -219,6 +222,7 @@ def test_hamiltonian_residual_eigenstates():
         vacuum(params),
         apply_create(vacuum(params), 0),
         apply_create(apply_create(vacuum(params), 1), -2),
+        build_state("a[-2] a[1] vac", params)[0],  # the form build_state returns
     ]
     for state in states:
         accepted = 0
@@ -237,8 +241,9 @@ def test_hamiltonian_residual_rejects_superpositions():
     basis = real_mode_basis(params)
     v = vacuum(params)
     mix = linear_combine([(1.0, v), (1.0, apply_create(v, 0))])
-    with pytest.raises(ValueError):
-        hamiltonian_residual(mix, basis, np.zeros(3))
+    for state in (mix, build_state("vac + a[0] vac", params)[0]):
+        with pytest.raises(ValueError, match="single-occupation eigenstate"):
+            hamiltonian_residual(state, basis, np.zeros(3))
 
 
 def test_hamiltonian_residual_rejects_nodal_points():

@@ -1,11 +1,10 @@
-"""Reference sample tables: the per-cell v1 writer and a per-cell row reader.
+"""The per-cell writer of the v1 sample table, which pins the golden table hashes.
 
 A v1 table stores every cell of a batch, its N coordinates and then the real
 and imaginary part of its value, each as ``'%.17g' % x``.  ``load_samples``
-still reads v1, and the golden table hashes pin the bytes of this writer.
+no longer reads v1; the golden hashes of this writer's bytes still pin every
+point and value of the tables the command line writes.
 """
-
-import numpy as np
 
 from qchain.sampling import RNG_ID
 
@@ -27,15 +26,3 @@ def dump_v1(batch):
         lines.append(",".join(cols))
     return "\n".join(lines) + "\n"
 
-
-def load_rows(text, point_cols):
-    """Points and values of a table's rows, one ``float`` call per cell;
-    ``point_cols`` is N for a v1 table and 0 for a v2 one."""
-    rows = text.removesuffix("\n").split("\n")[1:]  # float() ignores a '\r' before the '\n'
-    points = np.empty((len(rows), point_cols))
-    values = np.empty(len(rows), dtype=complex)
-    for i, row in enumerate(rows):
-        cols = row.split(",")
-        points[i] = [float(c) for c in cols[:point_cols]]
-        values[i] = complex(float(cols[point_cols]), float(cols[point_cols + 1]))
-    return points, values
