@@ -1,0 +1,29 @@
+#!/usr/bin/env bash
+# Runs the qchain console script that `pip install` put on PATH, as users run
+# it, and checks what it wrote: a figure, the package version that
+# pyproject.toml reads, a v2 sample table that loads the same with '\r\n' line
+# ends, and one record in both outputs (the table's header fields are the SVG
+# metadata's, plus points_sha256).  Writes into $RUNNER_TEMP, or a new
+# temporary directory when that is unset.
+set -euo pipefail
+out="${RUNNER_TEMP:-$(mktemp -d)}"
+qchain fig2 --samples 200 --out "$out/fig2.svg" --dump-samples "$out/fig2.table"
+test -s "$out/fig2.svg"
+python -c 'import importlib.metadata as m, qchain; assert m.version("qchain") == qchain.__version__, m.version("qchain")'
+python - "$out/fig2.svg" "$out/fig2.table" <<'PY'
+import html, re, sys
+
+import qchain
+
+svg, table = (open(path, encoding="utf-8").read() for path in sys.argv[1:])
+assert table.startswith("# qchain-samples v2, "), table[:40]
+a, b = (qchain.load_samples(text) for text in (table, table.replace("\n", "\r\n")))
+assert (a.points.tobytes(), a.values.tobytes(), a.spec, a.state_label, a.state_params) == (
+    b.points.tobytes(), b.values.tobytes(), b.spec, b.state_label, b.state_params)
+meta = re.search(r"<metadata>(.*)</metadata>", svg).group(1)
+svg_fields = qchain.read_provenance(html.unescape(meta), "; ")
+header = table.partition("\n")[0].removeprefix("# qchain-samples v2, ")
+table_fields = qchain.read_provenance(header, ", ")
+del table_fields["points_sha256"]
+assert svg_fields == table_fields, (svg_fields, table_fields)
+PY

@@ -362,6 +362,7 @@ def pretty(node) -> str:
 # --- evaluation ------------------------------------------------------------
 
 
+@np.errstate(all="ignore")  # a non-finite entry raises in creator_state
 def _vector(creator, n_sites: int) -> np.ndarray:
     kind, arg = creator
     if kind == "+":
@@ -373,7 +374,7 @@ def creator_state(node, params: ChainParams) -> CreatorState:
     """The state a parsed expression denotes, as creator vectors and monomials.
 
     A parenthesized sum of single creators such as ``(a[1] + i a[-1])``
-    becomes one vector.
+    becomes one vector.  A coefficient or entry that is not finite raises.
     """
     poly = _state_poly(node, params)
     used = list(dict.fromkeys(k for mono in poly for k in mono))
@@ -381,6 +382,8 @@ def creator_state(node, params: ChainParams) -> CreatorState:
                                                                           params.n_sites)
     counts = [(c, Counter(mono)) for mono, c in poly.items()]
     monomials = tuple((c, tuple(count[k] for k in used)) for c, count in counts)
+    if not (np.isfinite(vectors).all() and np.isfinite([c for c, _ in monomials]).all()):
+        raise StateExprError("the state's coefficients are not all finite", node.pos)
     return CreatorState(params, vectors if np.any(vectors.imag) else vectors.real.copy(),
                         monomials)
 

@@ -16,8 +16,8 @@ wavefunction is not real.
 Elements are emitted in ascending |psi| order (ties broken by sample index),
 so the most significant samples are drawn last and end up on top.  The
 writer is plain deterministic text: fixed float formats, no timestamps, and
-a metadata block recording the tool version, generator id, seed, and draw
-parameters, so identical inputs give byte-identical documents.
+a metadata block holding the run's :func:`~qchain.sampling.provenance`
+record, so identical inputs give byte-identical documents.
 
 The sample elements are written in bulk, because a figure holds ~20 000 of
 them.  Each color map is one array kernel over the whole batch, and each
@@ -33,8 +33,7 @@ from html import escape
 
 import numpy as np
 
-from . import __version__
-from .sampling import PLOT_MARGINS, RNG_ID, SampleBatch
+from .sampling import PLOT_MARGINS, TOOL_ID, SampleBatch, provenance  # noqa: F401 (re-export)
 
 __all__ = [
     "diverging_color",
@@ -43,8 +42,6 @@ __all__ = [
     "render_parallel_axes",
     "render_scatter2d",
 ]
-
-TOOL_ID = f"qchain {__version__}"
 
 POSITIVE_RGB = (178, 24, 43)  # deep red
 NEGATIVE_RGB = (33, 102, 172)  # deep blue
@@ -140,12 +137,7 @@ def _chart(batch: SampleBatch, chart: str):
     coordinate in [-window, window] to its x and y pixel.
     """
     spec = batch.spec
-    meta = (
-        f"tool={TOOL_ID}; rng={RNG_ID}; seed={spec.seed}; "
-        f"samples={spec.sample_count}; window={spec.window:.17g}; "
-        f"n_dims={batch.n_dims}; mode={chart}; color_mode={spec.color_mode}; "
-        f"state={batch.state_label}"
-    )
+    meta = "; ".join(f"{key}={text}" for key, text in provenance(batch, chart))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -190,7 +191,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--out", ""), ("--dump-samples", ""),
                                          ("--dump-state", ""), ("--window", "inf"),
-                                         ("--window", "nan")])
+                                         ("--window", "nan"), ("--window", "1e308"),
+                                         ("--state", "1e400 vac"),
+                                         ("--state", "1e200 1e200 vac")])
 def test_empty_path_or_non_finite_window_exits_1_before_sampling(flag, value, tmp_path,
                                                                  monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
@@ -238,15 +241,20 @@ def test_failed_extra_output_leaves_no_file(tmp_path, capsys, flag):
 
 
 def test_numeric_error_exits_2(tmp_path, capsys):
-    # an amplitude of 1e400 overflows to infinity, which the sample batch rejects
-    out = tmp_path / "x.svg"
-    code = main(["--n", "3", "--state", "1e400 vac", "--samples", "10",
-                 "--out", str(out), "--dump-samples", str(tmp_path / "x.csv"),
-                 "--dump-state", str(tmp_path / "x.txt")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "numeric" in err
-    assert list(tmp_path.iterdir()) == []  # no figure, no table, no state dump
+    # a finite amplitude of 1e308 overflows the values to infinity, which the
+    # sample batch rejects; 10**12 samples of 3 sites exceed the point-cell
+    # limit of every draw, before anything is allocated
+    limit = rf"^qchain: numeric error: a draw holds at most {2**28} point cells "
+    for state, samples, message in (
+            ("1e308 a[0] a[0] a[0] vac", "10", "row 1: non-finite cell"),
+            ("vac", str(10**12), limit + rf"\(samples x n_dims\), not {10**12} x 3\n$")):
+        code = main(["--n", "3", "--state", state, "--samples", samples,
+                     "--out", str(tmp_path / "x.svg"), "--dump-samples", str(tmp_path / "x.csv"),
+                     "--dump-state", str(tmp_path / "x.txt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numeric" in err and re.search(message, err), err
+        assert list(tmp_path.iterdir()) == []  # no figure, no table, no state dump
 
 
 def test_numeric_error_is_one_line(tmp_path, capsys):
@@ -266,7 +274,7 @@ def test_no_partial_file_on_failure(tmp_path, capsys):
     out = tmp_path / "keep.svg"
     assert main(["--n", "3", "--state", "vac", "--samples", "10", "--out", str(out)]) == 0
     good = out.read_bytes()
-    assert main(["--n", "3", "--state", "1e400 vac", "--samples", "10",
+    assert main(["--n", "3", "--state", "1e308 a[0] a[0] a[0] vac", "--samples", "10",
                  "--out", str(out)]) == 2
     capsys.readouterr()
     assert out.read_bytes() == good

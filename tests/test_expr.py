@@ -87,6 +87,11 @@ def test_parse_errors_carry_positions():
         parse_state_expr("vac )", 5)
     with pytest.raises(StateExprError, match=r"expected '\[' after 'a', found '1' \(position 2\)"):
         parse_state_expr("a 1] vac", 5)
+    # coefficients or creator vectors that overflow: the one walk rejects them
+    for src in ("1e400 vac", "1e400i vac", "1e200 1e200 vac", "(a[1] + 1e400 a[-1]) vac"):
+        with pytest.raises(StateExprError, match=r"^the state's coefficients are not all finite "
+                                                 r"\(position 0\)$"):
+            build_state(src, ChainParams(n_sites=15))
 
 
 def test_index_errors_match_the_fock_operators():

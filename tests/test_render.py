@@ -1,5 +1,6 @@
 import colorsys
 import hashlib
+import html
 import math
 import os
 import re
@@ -31,9 +32,11 @@ from qchain.sampling import (
     SampleBatch,
     dump_samples,
     load_samples,
+    read_provenance,
     sample_chain_state,
     sample_oscillator2d,
 )
+from old_record import old_svg, old_table
 from sample_ids import element_ids, shown_ids
 from v1_table import dump_v1
 
@@ -226,7 +229,9 @@ def test_phase_mode_uses_complex_magnitude():
 # bulk renderer replaced, when every sample still became an element; the bulk
 # writer with one element per sample (_elements_every_sample) must reproduce
 # them byte for byte.  The two *_2d cases were written by the
-# Hermite-recurrence 2D evaluator that the Wick evaluator replaced.
+# Hermite-recurrence 2D evaluator that the Wick evaluator replaced.  The SVG
+# and v2 table hashes below are of documents whose metadata or header line
+# old_record rewrites to the field set of that time.
 GOLDEN_EVERY_SAMPLE_SVG_SHA256 = {
     ("fig1", 0): "229193d2488f69d9cc4a257f0354fce56130ce58a135eaf6a34258e635879a56",
     ("fig1", 42): "3b2fb875ca42664f42ee3eb1e778d6ece8a9c4fd05cd53ef1f1310deb7630516",
@@ -363,7 +368,7 @@ def _figure_bytes(figure, seed, out):
 
 @pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
 def test_figures_byte_identical_to_golden(figure, seed, tmp_path, capsys):
-    svg = _figure_bytes(figure, seed, tmp_path / "figure.svg")
+    svg = old_svg(_figure_bytes(figure, seed, tmp_path / "figure.svg"))
     capsys.readouterr()
     assert hashlib.sha256(svg).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
 
@@ -385,7 +390,7 @@ def test_figures_are_every_sample_figures_without_background(figure, seed, tmp_p
     # background-colored samples removed hashes to the document that
     # test_figures_byte_identical_to_golden requires of today's writer.
     monkeypatch.setattr(render, "_elements", _elements_every_sample)
-    every = _figure_bytes(figure, seed, tmp_path / "every.svg")
+    every = old_svg(_figure_bytes(figure, seed, tmp_path / "every.svg"))
     capsys.readouterr()
     assert hashlib.sha256(every).hexdigest() == GOLDEN_EVERY_SAMPLE_SVG_SHA256[figure, seed]
     without = _BACKGROUND_SAMPLE.sub(b"", every)
@@ -422,9 +427,96 @@ def test_sample_tables_byte_identical_to_golden(figure, seed, tmp_path, capsys):
 
 @pytest.mark.parametrize("figure, seed", sorted(GOLDEN_TABLE_V2_SHA256))
 def test_v2_sample_tables_byte_identical_to_golden(figure, seed, tmp_path, capsys):
-    table = _table_bytes(figure, seed, tmp_path)
+    table = old_table(_table_bytes(figure, seed, tmp_path))
     capsys.readouterr()
     assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_V2_SHA256[figure, seed]
+
+
+# Runs beyond the golden cases whose figures and tables must regenerate from
+# their own record: non-default chain and oscillator parameters, canvas,
+# window and color map.
+RECORD_ARGS = {
+    "chain_params": ["--n", "7", "--state", "a[1] b[2] vac", "--mass", "0.3", "--kappa", "2.5",
+                     "--gamma", "0.1"],
+    "oscillator_canvas": ["--mode2d", "--nu1", "3", "--mass", "2", "--kappa", "0.5",
+                          "--width", "500", "--height", "300"],
+    "window_phase_hue": ["--n", "5", "--state", "(a[1] - 0.5i a[-2]) vac", "--window", "2.7",
+                         "--color-mode", "phase_hue", "--seed", "3"],
+}
+RECORD_CASES = [pytest.param(NON_PRESET_ARGS.get(f, [f]) + ["--seed", str(seed)], id=f"{f}-{seed}")
+                for f, seed in sorted(GOLDEN_SVG_SHA256)]
+RECORD_CASES += [pytest.param(args, id=name) for name, args in RECORD_ARGS.items()]
+
+
+def _record_argv(fields):
+    """The command line that a run's record describes, built from nothing else."""
+    assert (fields["tool"], fields["rng"]) == (render.TOOL_ID, "numpy-PCG64")
+    keys = ["samples", "seed", "window", "color_mode", "width", "height", "mass", "kappa"]
+    if "nu1" in fields:  # the 2D oscillator: its label only names nu1 and nu2
+        argv, keys = ["--mode2d"], keys + ["nu1", "nu2"]
+    else:
+        argv, keys = ["--n", fields["n_dims"], "--state", fields["state"]], keys + ["gamma"]
+    for key in keys:
+        argv += ["--" + key.replace("_", "-"), fields[key]]
+    return argv
+
+
+def _svg_record(svg: bytes):
+    meta = re.search(r"<metadata>(.*)</metadata>", svg.decode()).group(1)
+    return read_provenance(html.unescape(meta), "; ")
+
+
+def _table_record(table: bytes):
+    header = table.decode().partition("\n")[0].removeprefix("# qchain-samples v2, ")
+    return read_provenance(header, ", ")
+
+
+@pytest.mark.parametrize("argv", RECORD_CASES)
+def test_figures_and_tables_regenerate_from_their_own_record(argv, tmp_path, capsys):
+    svg, table = tmp_path / "figure.svg", tmp_path / "samples.txt"
+    assert main(argv + ["--out", str(svg), "--dump-samples", str(table)]) == 0
+    svg, table = svg.read_bytes(), table.read_bytes()
+    svg_fields, table_fields = _svg_record(svg), _table_record(table)
+    table_fields.pop("points_sha256")
+    assert svg_fields == table_fields  # one record, less the table's digest
+    again_svg, again_table = tmp_path / "again.svg", tmp_path / "again.txt"
+    assert main(_record_argv(svg_fields) + ["--out", str(again_svg)]) == 0
+    assert again_svg.read_bytes() == svg
+    assert main(_record_argv(_table_record(table)) + ["--out", str(tmp_path / "t.svg"),
+                                                      "--dump-samples", str(again_table)]) == 0
+    assert again_table.read_bytes() == table
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("chain_params", (("mass", "0.29999999999999999"), ("kappa", "2.5"),
+                      ("gamma", "0.10000000000000001"))),
+    ("oscillator_canvas", (("mass", "2"), ("kappa", "0.5"), ("nu1", "3"), ("nu2", "0"))),
+])
+def test_tables_carry_the_state_parameters(name, params, tmp_path, capsys):
+    table = tmp_path / "samples.txt"
+    assert main(RECORD_ARGS[name] + ["--samples", "300", "--out", str(tmp_path / "f.svg"),
+                                     "--dump-samples", str(table)]) == 0
+    capsys.readouterr()
+    text = table.read_text()
+    batch = load_samples(text)
+    assert batch.state_params == params
+    assert dump_samples(batch) == text  # the parameters round-trip
+    # a table of the old field set and order, as the golden gate writes it, loads the same
+    old = load_samples(old_table(text.encode()).decode())
+    assert old.state_params == ()
+    assert (old.spec, old.state_label) == (batch.spec, batch.state_label)
+    assert old.points.tobytes() == batch.points.tobytes()
+    assert old.values.tobytes() == batch.values.tobytes()
+
+
+def test_fig2_metadata_line(tmp_path, capsys):
+    svg = _figure_bytes("fig2", 0, tmp_path / "fig2.svg").decode()
+    capsys.readouterr()
+    assert re.search("<metadata>(.*)</metadata>", svg).group(1) == (
+        f"tool=qchain {qchain.__version__}; rng=numpy-PCG64; seed=0; samples=20000; window=3; "
+        "n_dims=15; mode=parallel_axes; color_mode=diverging_real; width=900; height=560; "
+        "mass=1; kappa=1; gamma=1; state=vac")
 
 
 # Reference color maps: the scalar formulas the array kernels replaced.

@@ -34,6 +34,10 @@ def test_render_spec_validation():
         RenderSpec(window=0.0)
     with pytest.raises(ValueError):
         RenderSpec(window=-1.0)
+    for window in (1e308, np.nextafter(np.finfo(float).max / 2, np.inf), 10**400):
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            RenderSpec(window=window)  # uniform() cannot draw from a range of 2 * window
+    assert RenderSpec(window=np.finfo(float).max / 2).window == np.finfo(float).max / 2
     with pytest.raises(ValueError):
         RenderSpec(seed=-1)
     with pytest.raises(ValueError):
@@ -149,6 +153,20 @@ def test_state_label_is_one_line():
             SampleBatch(np.zeros((1, 3)), np.zeros(1, complex), spec, label)
 
 
+def test_state_params_must_fit_the_record():
+    spec = RenderSpec(sample_count=1, window=1.0)
+    points, values = draw_samples(spec, 3), np.zeros(1, complex)
+    good = (("mass", "2"), ("kappa", "0.5"), ("gamma", "1e-300"))
+    assert SampleBatch(points, values, spec, "vac", good).state_params == good
+    for params in ((("kappa", "1"), ("mass", "1")),  # out of record order
+                   (("mass", "1"), ("mass", "1")),  # twice
+                   (("n_sites", "3"),), (("state", "vac"),),  # not a state parameter
+                   (("mass", "1, kappa=2"),), (("mass", "1; x"),), (("mass", "1\n"),),
+                   (("mass", "a=b"),)):
+        with pytest.raises(ValueError, match="cannot be recorded"):
+            SampleBatch(points, values, spec, "vac", params)
+
+
 def test_state_label_keeps_other_line_separators():
     # str.splitlines splits at these, and a header ends only at '\n'
     spec = RenderSpec(sample_count=1, window=1.0)
@@ -202,7 +220,7 @@ _EDGE_VALUES = {
 def _table_batch(table, n_dims=3):
     """A batch whose rows are ``table``: n_dims coordinates, then Re and Im of the value."""
     table = np.asarray(table, dtype=float)
-    spec = RenderSpec(sample_count=len(table), window=np.finfo(float).max, seed=4)
+    spec = RenderSpec(sample_count=len(table), window=np.finfo(float).max / 2, seed=4)
     values = np.empty(len(table), complex)
     values.real, values.imag = table[:, n_dims], table[:, n_dims + 1]  # keeps -0.0 parts
     return SampleBatch(points=table[:, :n_dims], values=values, spec=spec, state_label="t")
@@ -349,6 +367,8 @@ def test_load_rejects_malformed_tables():
             load_samples("\n".join(broken) + "\n")
     with pytest.raises(ValueError):  # another draw
         load_samples(good.replace("window=3", "window=0.1"))
+    with pytest.raises(ValueError, match="^window must be positive and finite, got 1e"):
+        load_samples(good.replace("window=3", "window=1e308"))  # a range of 2e308 overflows
     # a NaN in the first cell, an infinite imaginary part
     for row, col, cell in ((1, 0, "nan"), (3, 1, "inf")):
         broken = lines[:]
@@ -392,7 +412,7 @@ def test_huge_n_dims_hits_the_point_cell_limit(n_dims):
     # well-formed rows: the limit fails the header before the redraw is sized
     header = dump_samples(_drawn_batch([0.5])).splitlines()[0]
     table = header.replace("n_dims=3", f"n_dims={n_dims}") + "\n0.5,1\n"
-    with pytest.raises(ValueError, match=rf"^a sample table holds at most {2**28} point cells "
+    with pytest.raises(ValueError, match=rf"^a draw holds at most {2**28} point cells "
                                          rf"\(samples x n_dims\), not 1 x {n_dims}$"):
         load_samples(table)
 
@@ -403,8 +423,8 @@ def test_dump_and_load_share_the_point_cell_limit(monkeypatch):
     text = dump_samples(batch)
     monkeypatch.setattr(sampling, "_MAX_POINT_CELLS", 8)
     for call, arg in ((dump_samples, batch), (load_samples, text)):
-        with pytest.raises(ValueError, match=r"at most 8 point cells \(samples x n_dims\), "
-                                             r"not 3 x 3$"):
+        with pytest.raises(ValueError, match=r"^a draw holds at most 8 point cells "
+                                             r"\(samples x n_dims\), not 3 x 3$"):
             call(arg)
     monkeypatch.setattr(sampling, "_MAX_POINT_CELLS", 9)
     assert dump_samples(load_samples(text)) == text
