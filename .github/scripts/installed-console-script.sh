@@ -3,14 +3,16 @@
 # it, and checks what it wrote: a figure, the package version that
 # pyproject.toml reads, a v2 sample table that loads the same with '\r\n' line
 # ends, and one record in both outputs (the table's header fields are the SVG
-# metadata's, plus points_sha256).  Writes into $RUNNER_TEMP, or a new
-# temporary directory when that is unset.
+# metadata's, plus points_sha256).  fig2 covers a chain state and fig1 the 2D
+# oscillator, the two callers of the evaluation loop.  Writes into
+# $RUNNER_TEMP, or a new temporary directory when that is unset.
 set -euo pipefail
 out="${RUNNER_TEMP:-$(mktemp -d)}"
-qchain fig2 --samples 200 --out "$out/fig2.svg" --dump-samples "$out/fig2.table"
-test -s "$out/fig2.svg"
 python -c 'import importlib.metadata as m, qchain; assert m.version("qchain") == qchain.__version__, m.version("qchain")'
-python - "$out/fig2.svg" "$out/fig2.table" <<'PY'
+for fig in fig2 fig1; do
+  qchain "$fig" --samples 200 --out "$out/$fig.svg" --dump-samples "$out/$fig.table"
+  test -s "$out/$fig.svg"
+  python - "$out/$fig.svg" "$out/$fig.table" <<'PY'
 import html, re, sys
 
 import qchain
@@ -27,3 +29,4 @@ table_fields = qchain.read_provenance(header, ", ")
 del table_fields["points_sha256"]
 assert svg_fields == table_fields, (svg_fields, table_fields)
 PY
+done

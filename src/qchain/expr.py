@@ -15,15 +15,18 @@ sums of operators distribute over application, so ``(a[1] + i a[-1]) vac``
 is the superposition with coefficients 1 and i.  Every product must
 ultimately apply its operators to ``vac``.
 
-Parsing reports syntax errors, out-of-range indices, and type errors (for
-instance adding a scalar to a state) with a character position.  One walk
-of the tree gives :func:`creator_state`, a :class:`~qchain.fock.CreatorState`;
-:func:`build_state` tokenizes and walks its source once.  Index rules and
-creator vectors come from :func:`~qchain.chain.creator_vector`.
+Parsing reports syntax errors, out-of-range indices, type errors (for
+instance adding a scalar to a state) and coefficients that are not finite
+(a literal, or a product or sum that overflows) with a character position.
+One walk of the tree gives :func:`creator_state`, a
+:class:`~qchain.fock.CreatorState`; :func:`build_state` tokenizes and walks
+its source once.  Index rules and creator vectors come from
+:func:`~qchain.chain.creator_vector`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,6 +49,9 @@ __all__ = [
     "evaluate_expr",
     "build_state",
 ]
+
+
+_NOT_FINITE = "the state's coefficients are not all finite"
 
 
 class StateExprError(ValueError):
@@ -179,6 +185,8 @@ class _Parser:
         kind, text, pos = self.take()
         if kind == "num":
             value = float(text)
+            if not math.isfinite(value):
+                raise StateExprError(_NOT_FINITE, pos)
             if self.peek()[:2] == ("name", "i"):
                 self.take()
                 return Scalar(complex(0.0, value), pos=pos)
@@ -236,12 +244,12 @@ def _walk(node, params: ChainParams):
         for t, (k, _) in zip(node.terms[1:], parts[1:]):
             if k != kind:
                 raise StateExprError(f"cannot add a {k} to a {kind}", t.pos)
-        if kind == _SCALAR:
-            return kind, sum(v for _, v in parts)
-        monos = [(m, c) for _, poly in parts for m, c in poly.items()]
-        if kind == _OP and all(len(m) == 1 for m, _ in monos):
-            return kind, {(("+", tuple((c, m[0]) for m, c in monos)),): 1.0}
-        return kind, _poly_product([((), 1.0)], monos)  # like terms merged
+        values = [v for _, v in parts]
+        total = _sum(kind, values)
+        if not _finite(total):  # a running sum that overflows stays non-finite
+            k = next(k for k in range(len(values)) if not _finite(_sum(kind, values[: k + 1])))
+            raise StateExprError(_NOT_FINITE, node.terms[k].pos)
+        return kind, total
     if isinstance(node, Product):
         kind, acc = _walk(node.factors[-1], params)
         for factor in reversed(node.factors[:-1]):
@@ -255,8 +263,25 @@ def _walk(node, params: ChainParams):
                 acc = {m: fval * c for m, c in acc.items()}
             else:
                 acc = _poly_product(fval.items(), acc.items())
+            if not _finite(acc):
+                raise StateExprError(_NOT_FINITE, factor.pos)
         return kind, acc
     raise TypeError(f"unknown node {node!r}")
+
+
+def _sum(kind, values):
+    """The sum of walked values of one kind, like terms merged."""
+    if kind == _SCALAR:
+        return sum(values)
+    monos = [(m, c) for poly in values for m, c in poly.items()]
+    if kind == _OP and all(len(m) == 1 for m, _ in monos):
+        return {(("+", tuple((c, m[0]) for m, c in monos)),): 1.0}
+    return _poly_product([((), 1.0)], monos)
+
+
+def _finite(value) -> bool:
+    """Whether a walked scalar or every coefficient of a polynomial is finite."""
+    return bool(np.isfinite(list(value.values()) if isinstance(value, dict) else value).all())
 
 
 def _poly_product(left, right) -> dict:
@@ -296,11 +321,12 @@ def parse_state_expr(src: str, n_sites: int):
     """Parse a state expression for a chain with ``n_sites`` sites.
 
     Returns the AST root; raises :class:`StateExprError` with a character
-    position on syntax errors, out-of-range indices, or expressions that do
-    not produce a state (e.g. an operator chain with no ``vac``).
+    position on syntax errors, out-of-range indices, coefficients that are
+    not finite, or expressions that do not produce a state (e.g. an operator
+    chain with no ``vac``).
     """
     ast = _parse(src)
-    _state_poly(ast, ChainParams(n_sites=n_sites))  # index ranges and kinds
+    _state_poly(ast, ChainParams(n_sites=n_sites))  # index ranges, kinds, overflow
     return ast
 
 
@@ -374,7 +400,8 @@ def creator_state(node, params: ChainParams) -> CreatorState:
     """The state a parsed expression denotes, as creator vectors and monomials.
 
     A parenthesized sum of single creators such as ``(a[1] + i a[-1])``
-    becomes one vector.  A coefficient or entry that is not finite raises.
+    becomes one vector.  A vector entry that is not finite raises; the walk
+    has already rejected a coefficient that overflows, where it arose.
     """
     poly = _state_poly(node, params)
     used = list(dict.fromkeys(k for mono in poly for k in mono))
@@ -382,8 +409,8 @@ def creator_state(node, params: ChainParams) -> CreatorState:
                                                                           params.n_sites)
     counts = [(c, Counter(mono)) for mono, c in poly.items()]
     monomials = tuple((c, tuple(count[k] for k in used)) for c, count in counts)
-    if not (np.isfinite(vectors).all() and np.isfinite([c for c, _ in monomials]).all()):
-        raise StateExprError("the state's coefficients are not all finite", node.pos)
+    if not np.isfinite(vectors).all():
+        raise StateExprError(_NOT_FINITE, node.pos)
     return CreatorState(params, vectors if np.any(vectors.imag) else vectors.real.copy(),
                         monomials)
 

@@ -167,17 +167,18 @@ def _titles(plot_w: int, plot_h: int, x_name: str, y_name: str, label: str):
     return parts
 
 
-def _elements(template: str, batch: SampleBatch, coords) -> list[str]:
-    """``template % (index, *coords[index], color)`` per sample in draw order.
+def _elements(template: str, batch: SampleBatch, pixels) -> list[str]:
+    """``template % (index, *pixels(point), color)`` per sample in draw order.
 
-    The whole batch is colored; background-colored samples are left out
-    before their colors and coordinates are formatted.
+    ``pixels`` maps rows of points to rows of pixel coordinates.  The whole
+    batch is colored; background-colored samples are left out before their
+    colors are formatted and their pixels computed.
     """
     order = draw_order(batch.values)
     rgb = _rgb(batch, order)
     shown = (rgb != BACKGROUND_RGB).any(axis=1)
     order = order[shown]
-    rows = zip(order.tolist(), coords[order].tolist(), _hex_colors(rgb[shown]))
+    rows = zip(order.tolist(), pixels(batch.points[order]).tolist(), _hex_colors(rgb[shown]))
     return [template % (idx, *row, color) for idx, row, color in rows]
 
 
@@ -217,7 +218,7 @@ def render_parallel_axes(batch: SampleBatch) -> str:
 
     points = " ".join(f"{x:.2f},%.2f" for x in xs)
     template = f'<polyline id="s%d" points="{points}" fill="none" stroke="%s" stroke-width="1"/>'
-    parts += _elements(template, batch, y_pix(batch.points))
+    parts += _elements(template, batch, y_pix)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -241,8 +242,8 @@ def render_scatter2d(batch: SampleBatch) -> str:
         parts.append(_text(_LEFT - 8, f"{y_pix(q) + 4:.2f}", f"{q:.3g}", anchor="end"))
     parts += _titles(plot_w, plot_h, "q1", "q2", batch.state_label)
 
-    pixels = np.column_stack([x_pix(batch.points[:, 0]), y_pix(batch.points[:, 1])])
     template = '<circle id="s%d" cx="%.2f" cy="%.2f" r="2" fill="%s"/>'
-    parts += _elements(template, batch, pixels)
+    parts += _elements(template, batch,
+                       lambda points: np.column_stack([x_pix(points[:, 0]), y_pix(points[:, 1])]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

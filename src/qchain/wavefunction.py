@@ -1,17 +1,17 @@
-"""Position-space wavefunction evaluation for chain states.
+"""Position-space wavefunction evaluation for chain states and the 2D oscillator.
 
 A state is either form of :mod:`~qchain.fock`.  Each creator of a state is a
 vector c in mode space (``a[k]`` the unit vector of mode k, ``b[n]`` the mode
-profile at site n).  In the dimensionless mode
-coordinates y (normal coordinates times sqrt(m*Omega_k)), prod_j (c_j.a^+)^m_j
-vac has the wavefunction psi0(y) :prod_j L_j^m_j:, the Wick product of the
-linear forms L_j = sqrt(2) c_j.y with pair contractions c_i.c_j (Wick, Phys.
-Rev. 80, 268, 1950).  It is computed divided by sqrt(prod_j m_j!), which keeps
-it O(1); a FockState term |nu> is that quotient for unit vectors.  The vacuum
-psi0 is summed in log space and exponentiated once per sample; values below
-the smallest double still underflow to zero.  The 2D oscillator eigenstate
-(nu1, nu2) is the same sum over two modes: two unit creators, applied nu1
-and nu2 times.
+profile at site n).  In the dimensionless mode coordinates y (normal
+coordinates times sqrt(m*Omega_k)), prod_j (c_j.a^+)^m_j vac has the
+wavefunction psi0(y) :prod_j L_j^m_j:, the Wick product of the linear forms
+L_j = sqrt(2) c_j.y with pair contractions c_i.c_j (Wick, Phys. Rev. 80, 268,
+1950).  It is computed divided by sqrt(prod_j m_j!), which keeps it O(1); a
+FockState term |nu> is that quotient for unit vectors.  The vacuum psi0 is
+summed in log space and exponentiated once per sample; values below the
+smallest double still underflow to zero.  The 2D oscillator eigenstate
+(nu1, nu2) is the same sum over two unit creators, applied nu1 and nu2 times,
+and both kinds of state are evaluated by one blocked loop.
 
 All functions here are pure; evaluation can fan out over a shared immutable
 basis and state from any number of workers.
@@ -101,44 +101,44 @@ def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
     """
     if state.params != basis.params:
         raise ValueError("state and basis belong to different chains")
-    vectors, terms = _weighted_terms(state)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = basis.params.n_sites
     if points.ndim != 2 or points.shape[1] != n:
         raise ValueError(f"expected points of shape (M, {n}), got {points.shape}")
-
     scale = np.sqrt(basis.params.mass * basis.frequencies)
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    panel = _PANEL_BLOCKS * rows
-    out = np.empty(points.shape[0], dtype=complex)
-    # one buffer for every panel: a fresh 2 MB array per panel costs page faults
-    buf = np.empty((min(panel, points.shape[0]), n))
-    for first in range(0, points.shape[0], panel):
-        y = np.matmul(points[first : first + panel], basis.basis, out=buf[: len(points) - first])
-        y *= scale  # mode coordinates, row per sample
-        values = out[first : first + panel]
-        for start in range(0, len(y), rows):
-            values[start : start + rows] = _wick_sum(vectors, terms, y[start : start + rows], scale)
-    return out
+    return _evaluate(*_weighted_terms(state), points, scale, basis.basis)
 
 
-def _wick_sum(vectors, terms, y, scale) -> np.ndarray:
-    """psi0(y) * sum of weight * W(m) over ``terms`` at the dimensionless mode
-    coordinates ``y`` (row per sample); ``scale`` is sqrt(m*Omega) per mode."""
-    # Vacuum envelope: Gaussians and normalization prefactors.
-    log_env = 0.25 * float(np.sum(np.log(scale * scale / np.pi))) - 0.5 * np.sum(
-        y * y, axis=1
-    )
-    envelope = np.exp(log_env)
-
+def _evaluate(vectors, terms, points, scale, transform=None) -> np.ndarray:
+    """psi0(y) * sum of weight * W(m) over ``terms`` at each row of ``points``, with
+    y = (points @ transform) * scale, or points * scale without a transform.  The
+    arithmetic type, contractions and normalization are formed once per call, y
+    once per panel, and the envelope and Wick sum once per block."""
     weights = [complex(w) for w, _ in terms]
     if not np.iscomplexobj(vectors) and not any(w.imag for w in weights):
         weights = [w.real for w in weights]  # real creators and weights: real arithmetic
-    lin = math.sqrt(2.0) * (vectors @ y.T)  # L_j, one row per creator
     gram = vectors @ vectors.T
-    memo = {(0,) * len(vectors): np.ones(y.shape[0])}  # W by multiplicities, shared by all terms
-    acc = sum(w * _wick_power(lin, gram, mult, memo) for w, (_, mult) in zip(weights, terms))
-    return (acc * envelope).astype(complex)
+    log_norm = 0.25 * float(np.sum(np.log(scale * scale / np.pi)))
+    rows = max(1, _BLOCK_ELEMENTS // len(scale))
+    panel = _PANEL_BLOCKS * rows
+    out = np.empty(len(points), dtype=complex)
+    # one buffer for every panel: a fresh 2 MB array per panel costs page faults
+    buf = np.empty((min(panel, len(points)), len(scale)))
+    for first in range(0, len(points), panel):
+        y = buf[: len(points) - first]
+        if transform is None:  # no product with I, which can turn -0.0 into 0.0
+            np.multiply(points[first : first + panel], scale, out=y)
+        else:
+            np.matmul(points[first : first + panel], transform, out=y)
+            y *= scale
+        for start in range(0, len(y), rows):
+            block = y[start : start + rows]
+            envelope = np.exp(log_norm - 0.5 * np.sum(block * block, axis=1))
+            lin = math.sqrt(2.0) * (vectors @ block.T)  # L_j, one row per creator
+            memo = {(0,) * len(vectors): np.ones(len(block))}  # W by multiplicities
+            out[first + start : first + start + len(block)] = envelope * sum(
+                w * _wick_power(lin, gram, mult, memo) for w, (_, mult) in zip(weights, terms))
+    return out
 
 
 def evaluate(state: CreatorState | FockState, basis: ModeBasis, q) -> complex:
@@ -168,7 +168,7 @@ def evaluate_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float, points)
         raise ValueError(f"expected points of shape (M, 2), got {points.shape}")
     omega_ang = math.sqrt(kappa / mass)
     scale = np.full(2, math.sqrt(mass * omega_ang))
-    return _wick_sum(np.eye(2), [(1.0, (nu1, nu2))], points * scale, scale)
+    return _evaluate(np.eye(2), [(1.0, (nu1, nu2))], points, scale)
 
 
 def hamiltonian_residual(state: CreatorState | FockState, basis: ModeBasis, q,

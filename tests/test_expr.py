@@ -87,11 +87,21 @@ def test_parse_errors_carry_positions():
         parse_state_expr("vac )", 5)
     with pytest.raises(StateExprError, match=r"expected '\[' after 'a', found '1' \(position 2\)"):
         parse_state_expr("a 1] vac", 5)
-    # coefficients or creator vectors that overflow: the one walk rejects them
-    for src in ("1e400 vac", "1e400i vac", "1e200 1e200 vac", "(a[1] + 1e400 a[-1]) vac"):
-        with pytest.raises(StateExprError, match=r"^the state's coefficients are not all finite "
-                                                 r"\(position 0\)$"):
-            build_state(src, ChainParams(n_sites=15))
+    # a literal, product or sum that overflows is reported where it arises
+    for src, pos in (("1e400 vac", 0), ("1e400i vac", 0), ("1e200 1e200 vac", 0),
+                     ("(a[1] + 1e400 a[-1]) vac", 8), ("a[0] 1e400 vac", 5),
+                     ("a[0] 1e200 1e200 vac", 5), ("vac + 1e308 vac + 1e308 vac", 18),
+                     ("a[0] (1e308 + 1e308) vac", 14),
+                     ("a[0] (1e200 a[1] a[2] + a[3]) (1e200 a[1] a[2] + a[3]) vac", 6)):
+        for parse in (lambda: build_state(src, ChainParams(n_sites=15)),
+                      lambda: parse_state_expr(src, 15)):
+            with pytest.raises(StateExprError, match=r"^the state's coefficients are not all "
+                                                     rf"finite \(position {pos}\)$"):
+                parse()
+    # a creator vector whose entries overflow is rejected when the state is made
+    parse_state_expr("(1e308 a[1] + 1e308 a[1]) vac", 15)  # its coefficients are finite
+    with pytest.raises(StateExprError, match=r"not all finite \(position 0\)$"):
+        build_state("(1e308 a[1] + 1e308 a[1]) vac", ChainParams(n_sites=15))
 
 
 def test_index_errors_match_the_fock_operators():
@@ -129,6 +139,10 @@ def test_pretty_round_trip_examples():
     ]:
         ast = parse_state_expr(src, 9)
         assert parse_state_expr(pretty(ast), 9) == ast
+    assert pretty(Scalar(1.5 - 2j)) == "(1.5 + -2.0i)"  # never parsed; printed anyway
+    for make in (pretty, lambda node: creator_state(node, ChainParams(n_sites=9))):
+        with pytest.raises(TypeError, match="unknown node"):
+            make("vac")  # a string, not a Vac node
 
 
 _SCALARS = st.one_of(
@@ -175,6 +189,9 @@ def test_evaluate_superposition_and_scalars():
     got = evaluate_expr(parse_state_expr("(a[1] + i a[-1]) vac", 5), p)
     want = linear_combine([(1.0, apply_create(v, 1)), (1j, apply_create(v, -1))])
     assert got.terms == want.terms
+
+    # a scalar standing last in a product of operators scales them
+    assert build_state("(a[0] 2 + a[1]) vac", p)[0] == build_state("(2 a[0] + a[1]) vac", p)[0]
 
     doubled = evaluate_expr(parse_state_expr("2 a[0] vac - a[0] vac", 5), p)
     assert doubled.terms == apply_create(v, 0).terms

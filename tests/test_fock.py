@@ -125,6 +125,8 @@ def test_linear_combine_and_exact_cancellation():
 def test_linear_combine_rejects_mixed_chains():
     with pytest.raises(ValueError):
         linear_combine([(1.0, vacuum(P3)), (1.0, vacuum(ChainParams(n_sites=5)))])
+    with pytest.raises(ValueError, match="need at least one"):
+        linear_combine([])
 
 
 def test_inner_product_and_norm():
@@ -134,6 +136,8 @@ def test_inner_product_and_norm():
     assert inner_product(s, s) == pytest.approx(1.0)
     # antilinear in the first argument
     assert inner_product(s, apply_create(v, 1)) == pytest.approx(-0.8j)
+    with pytest.raises(ValueError, match="different chain parameters"):
+        inner_product(s, vacuum(ChainParams(n_sites=5)))
 
 
 def test_energy_eigenvalue_frozen():
@@ -142,6 +146,10 @@ def test_energy_eigenvalue_frozen():
     assert energy_eigenvalue((0, 1, 0), basis) == pytest.approx(3.5)
     assert energy_eigenvalue((1, 0, 1), basis) == pytest.approx(6.5)
     assert energy_eigenvalue((0, 2, 0), basis) == pytest.approx(4.5)
+    with pytest.raises(ValueError, match=r"^occupation length 2 != 3 modes$"):
+        energy_eigenvalue((0, 1), basis)
+    with pytest.raises(ValueError, match="non-negative"):
+        energy_eigenvalue((0, -1, 0), basis)
 
 
 def test_dump_state_format():

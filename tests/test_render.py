@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
@@ -17,6 +18,7 @@ import qchain
 from qchain import render
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.cli import main
+from qchain.expr import build_state
 from qchain.fock import apply_create, vacuum
 from qchain.render import (
     _hex_colors,
@@ -30,6 +32,7 @@ from qchain.render import (
 from qchain.sampling import (
     RenderSpec,
     SampleBatch,
+    chain_window,
     dump_samples,
     load_samples,
     read_provenance,
@@ -163,6 +166,21 @@ def test_all_zero_values_render_background_only():
     svg = render_parallel_axes(batch)
     assert re.search(r' id="s\d+"', svg) is None
     assert svg.count("<line ") == 3 + 1  # the site axes and the dashed zero line
+
+
+def test_renderer_converts_only_the_drawn_samples():
+    # N=301 a[1] vac: 48 MB of points, one polyline drawn
+    params = ChainParams(n_sites=301)
+    basis = real_mode_basis(params)
+    spec = RenderSpec(sample_count=20000, window=chain_window(basis), seed=0)
+    batch = sample_chain_state(build_state("a[1] vac", params)[0], basis, spec)
+    tracemalloc.start()
+    try:
+        render_parallel_axes(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch.points.nbytes / 4
 
 
 def test_scatter_requires_two_dims():
@@ -373,10 +391,11 @@ def test_figures_byte_identical_to_golden(figure, seed, tmp_path, capsys):
     assert hashlib.sha256(svg).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
 
 
-def _elements_every_sample(template, batch, coords):
+def _elements_every_sample(template, batch, pixels):
     """The sample writer before background-colored samples were left out."""
     order = draw_order(batch.values)
-    rows = zip(order.tolist(), coords[order].tolist(), _hex_colors(_rgb(batch, order)))
+    rows = zip(order.tolist(), pixels(batch.points[order]).tolist(),
+               _hex_colors(_rgb(batch, order)))
     return [template % (idx, *row, color) for idx, row, color in rows]
 
 

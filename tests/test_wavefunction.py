@@ -234,6 +234,10 @@ def test_hamiltonian_residual_eigenstates():
                 continue  # near a node, draw again
             accepted += 1
             assert resid < 1e-4
+    # floor_ref defaults to |psi(0)|, which is non-zero for the vacuum
+    assert hamiltonian_residual(vacuum(params), basis, np.full(5, 0.3)) < 1e-4
+    with pytest.raises(ValueError, match=r"length-5 configuration, got shape \(4,\)"):
+        hamiltonian_residual(vacuum(params), basis, np.zeros(4))
 
 
 def test_hamiltonian_residual_rejects_superpositions():
@@ -441,6 +445,7 @@ def test_creator_states_compare_by_value():
     assert state != replace(state, vectors=vectors)
     assert state != replace(state, params=ChainParams(n_sites=5, gamma=0.5))
     assert state != build_state("b[1] vac", params)[0]
+    assert (state == 3) is False
 
 
 def test_state_and_basis_from_different_chains():
@@ -468,3 +473,14 @@ def test_batch_spanning_blocks_matches_its_rows():
     for i in (0, 107, 108, 216, 249):  # either side of each block edge
         single = evaluate(state, basis, pts[i])
         assert abs(single - batch[i]) <= 1e-12 * np.max(np.abs(batch))
+    # the 2D oscillator runs the same loop: 16384 rows per block at n = 2
+    pts = draw_samples(RenderSpec(sample_count=40000, window=2.5, seed=8), 2)
+    pts[::7, 0] *= 0.0  # signed zeros
+    edges = {i + d for i in (16384, 32768) for d in (-2, -1, 0, 1)} | {0, 39999}
+    rows = sorted(edges | set(range(0, 40000, 97)))  # every block edge and a spread
+    for nu in ((2, 1), (7, 3)):
+        batch = evaluate_oscillator2d(*nu, MASS, KAPPA, pts)
+        singles = np.concatenate([evaluate_oscillator2d(*nu, MASS, KAPPA, pts[i]) for i in rows])
+        assert np.array_equal(singles.view(np.uint64), batch[rows].view(np.uint64))
+        ref = _phi(nu[0], M_OMEGA, pts[:, 0]) * _phi(nu[1], M_OMEGA, pts[:, 1])
+        assert np.max(np.abs(batch - ref)) <= 1e-12 * np.max(np.abs(ref))
