@@ -4,7 +4,8 @@
 # pyproject.toml reads, a v2 sample table that loads the same with '\r\n' line
 # ends, and one record in both outputs (the table's header fields are the SVG
 # metadata's, plus points_sha256).  fig2 covers a chain state and fig1 the 2D
-# oscillator, the two callers of the evaluation loop.  Writes into
+# oscillator, the two callers of the evaluation loop.  A rejected expression
+# must exit 1 with one error line and write nothing.  Writes into
 # $RUNNER_TEMP, or a new temporary directory when that is unset.
 set -euo pipefail
 out="${RUNNER_TEMP:-$(mktemp -d)}"
@@ -30,3 +31,10 @@ del table_fields["points_sha256"]
 assert svg_fields == table_fields, (svg_fields, table_fields)
 PY
 done
+code=0
+qchain --n 3 --state '(1e308 a[1] + 1e308 a[1]) vac' --samples 200 \
+  --out "$out/rejected.svg" 2> "$out/rejected.err" || code=$?
+test "$code" -eq 1
+test "$(wc -l < "$out/rejected.err")" -eq 1
+grep -q '^qchain: error: .*(position 14)$' "$out/rejected.err"
+test ! -e "$out/rejected.svg"

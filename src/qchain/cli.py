@@ -17,14 +17,13 @@ are written, so a failed run leaves no output file.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from .chain import ChainParams, _check_oscillator, real_mode_basis
+from .chain import ChainParams, real_mode_basis
 from .expr import StateExprError, build_state
 from .fock import dump_state, expand_state
 from .render import render_parallel_axes, render_scatter2d
@@ -37,6 +36,7 @@ from .sampling import (
     sample_chain_state,
     sample_oscillator2d,
 )
+from .wavefunction import _oscillator2d_frequency
 
 __all__ = ["PRESETS", "build_arg_parser", "main"]
 
@@ -138,10 +138,8 @@ def main(argv=None) -> int:
             if args.dump_state is not None:
                 raise ValueError("--dump-state applies only to chain states")
             nu1, nu2 = (0 if nu is None else nu for nu in (args.nu1, args.nu2))
-            if nu1 < 0 or nu2 < 0:
-                raise ValueError(f"quantum numbers must be >= 0, got ({nu1}, {nu2})")
-            _check_oscillator(args.mass, args.kappa)
-            window = default_window([math.sqrt(args.kappa / args.mass)], args.mass)
+            omega = _oscillator2d_frequency(nu1, nu2, args.mass, args.kappa)
+            window = default_window([omega], args.mass)
             default_out = f"{args.preset or 'oscillator2d'}.svg"
         else:
             if args.nu1 is not None or args.nu2 is not None:

@@ -15,13 +15,14 @@ sums of operators distribute over application, so ``(a[1] + i a[-1]) vac``
 is the superposition with coefficients 1 and i.  Every product must
 ultimately apply its operators to ``vac``.
 
-Parsing reports syntax errors, out-of-range indices, type errors (for
-instance adding a scalar to a state) and coefficients that are not finite
-(a literal, or a product or sum that overflows) with a character position.
-One walk of the tree gives :func:`creator_state`, a
+Parsing reports syntax errors, parentheses nested more than 100 deep,
+out-of-range indices, type errors (for instance adding a scalar to a state)
+and coefficients that are not finite (a literal, or a product or sum that
+overflows, or a sum of creators whose vector overflows) with a character
+position.  One walk of the tree forms each creator's vector, from
+:func:`~qchain.chain.creator_vector`, and gives :func:`creator_state`, a
 :class:`~qchain.fock.CreatorState`; :func:`build_state` tokenizes and walks
-its source once.  Index rules and creator vectors come from
-:func:`~qchain.chain.creator_vector`.
+its source once, so it rejects exactly what :func:`parse_state_expr` does.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
 
 
 _NOT_FINITE = "the state's coefficients are not all finite"
+_MAX_NESTING = 100  # parentheses; parsing and walking stay well inside the recursion limit
 
 
 class StateExprError(ValueError):
@@ -127,6 +129,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -145,9 +148,7 @@ class _Parser:
     # expr := ['+'|'-'] term (('+'|'-') term)*
     def parse_expr(self):
         start = self.peek()[2]
-        negate = False
-        if self.peek()[0] in ("+", "-"):
-            negate = self.take()[0] == "-"
+        negate = self.peek()[0] in ("+", "-") and self.take()[0] == "-"
         terms = [self._signed_term(self.parse_term(), negate)]
         while self.peek()[0] in ("+", "-"):
             negate = self.take()[0] == "-"
@@ -198,31 +199,29 @@ class _Parser:
                 return Scalar(1j, pos=pos)
             # a[...] or b[...]
             self.expect("[", f"'[' after {text!r}")
-            sign = 1
-            if self.peek()[0] == "-":
-                self.take()
-                sign = -1
-            elif self.peek()[0] == "+":
-                self.take()
+            negate = self.peek()[0] in ("+", "-") and self.take()[0] == "-"
             num = self.expect("num", "an integer index")
             if not num[1].isdigit():
                 raise StateExprError(f"index must be an integer, found {num[1]!r}", num[2])
             self.expect("]", "']'")
-            return Create(kind=text, index=sign * int(num[1]), pos=pos)
+            return Create(kind=text, index=-int(num[1]) if negate else int(num[1]), pos=pos)
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise StateExprError(f"parentheses nested deeper than {_MAX_NESTING} levels", pos)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return inner
-        raise StateExprError(
-            f"expected a factor, found {text or 'end of input'!r}", pos
-        )
+        raise StateExprError(f"expected a factor, found {text or 'end of input'!r}", pos)
 
 
 # --- walking the AST --------------------------------------------------------
 # The walk gives (kind, value): a scalar is a complex number; an operator or a
 # state is a polynomial {creators: coefficient}, a state's applied to vac from
-# the right.  A creator is ("a", k), ("b", n), or ("+", ((coefficient,
-# creator), ...)) for a sum of single creators.
+# the right.  A creator is the complex bytes of its mode-space vector, so
+# creators with bit-identical vectors are one; a sum of single creators is one
+# creator, the sum of coefficient times vector.
 
 _SCALAR, _OP, _STATE = "scalar", "operator", "state"
 
@@ -232,10 +231,10 @@ def _walk(node, params: ChainParams):
         return _SCALAR, node.value
     if isinstance(node, Create):
         try:
-            creator_vector(params.n_sites, node.kind, node.index)
+            vector = creator_vector(params.n_sites, node.kind, node.index)
         except ValueError as exc:
             raise StateExprError(str(exc), node.pos) from None
-        return _OP, {((node.kind, node.index),): 1.0}
+        return _OP, {(vector.astype(complex).tobytes(),): 1.0}
     if isinstance(node, Vac):
         return _STATE, {(): 1.0}
     if isinstance(node, Sum):
@@ -245,9 +244,10 @@ def _walk(node, params: ChainParams):
             if k != kind:
                 raise StateExprError(f"cannot add a {k} to a {kind}", t.pos)
         values = [v for _, v in parts]
-        total = _sum(kind, values)
+        total = _sum(kind, node.terms, values)
         if not _finite(total):  # a running sum that overflows stays non-finite
-            k = next(k for k in range(len(values)) if not _finite(_sum(kind, values[: k + 1])))
+            k = next(k for k in range(len(values))
+                     if not _finite(_sum(kind, node.terms, values[: k + 1])))
             raise StateExprError(_NOT_FINITE, node.terms[k].pos)
         return kind, total
     if isinstance(node, Product):
@@ -269,14 +269,22 @@ def _walk(node, params: ChainParams):
     raise TypeError(f"unknown node {node!r}")
 
 
-def _sum(kind, values):
-    """The sum of walked values of one kind, like terms merged."""
+@np.errstate(all="ignore")  # an overflowing creator vector raises below
+def _sum(kind, terms, values):
+    """The sum of the walked ``values`` of ``terms``, all of one kind, like terms
+    merged; a sum of single creators is one, raising where its vector overflows."""
     if kind == _SCALAR:
         return sum(values)
     monos = [(m, c) for poly in values for m, c in poly.items()]
-    if kind == _OP and all(len(m) == 1 for m, _ in monos):
-        return {(("+", tuple((c, m[0]) for m, c in monos)),): 1.0}
-    return _poly_product([((), 1.0)], monos)
+    if not (kind == _OP and monos and all(len(m) == 1 for m, _ in monos)):
+        return _poly_product([((), 1.0)], monos)
+    vector = 0
+    for term, poly in zip(terms, values):
+        for (creator,), c in poly.items():
+            vector = vector + c * np.frombuffer(creator, complex)
+        if not np.isfinite(vector).all():
+            raise StateExprError(_NOT_FINITE, term.pos)
+    return {(vector.tobytes(),): 1.0}
 
 
 def _finite(value) -> bool:
@@ -293,7 +301,7 @@ def _poly_product(left, right) -> dict:
     out, first = {}, {}
     for m1, c1 in left:
         for m2, c2 in right:
-            mono = first.setdefault(tuple(sorted(map(repr, m1 + m2))), m1 + m2)
+            mono = first.setdefault(tuple(sorted(m1 + m2)), m1 + m2)
             out[mono] = out.get(mono, 0.0) + c1 * c2
     return {m: c for m, c in out.items() if c != 0}
 
@@ -388,29 +396,15 @@ def pretty(node) -> str:
 # --- evaluation ------------------------------------------------------------
 
 
-@np.errstate(all="ignore")  # a non-finite entry raises in creator_state
-def _vector(creator, n_sites: int) -> np.ndarray:
-    kind, arg = creator
-    if kind == "+":
-        return sum(coeff * _vector(term, n_sites) for coeff, term in arg)
-    return creator_vector(n_sites, kind, arg)
-
-
 def creator_state(node, params: ChainParams) -> CreatorState:
-    """The state a parsed expression denotes, as creator vectors and monomials.
-
-    A parenthesized sum of single creators such as ``(a[1] + i a[-1])``
-    becomes one vector.  A vector entry that is not finite raises; the walk
-    has already rejected a coefficient that overflows, where it arose.
-    """
+    """The state a parsed expression denotes, as creator vectors and monomials:
+    one row per distinct vector, in order of first appearance."""
     poly = _state_poly(node, params)
     used = list(dict.fromkeys(k for mono in poly for k in mono))
-    vectors = np.array([_vector(k, params.n_sites) for k in used]).reshape(len(used),
-                                                                          params.n_sites)
+    vectors = np.array([np.frombuffer(k, complex) for k in used]).reshape(len(used),
+                                                                         params.n_sites)
     counts = [(c, Counter(mono)) for mono, c in poly.items()]
     monomials = tuple((c, tuple(count[k] for k in used)) for c, count in counts)
-    if not np.isfinite(vectors).all():
-        raise StateExprError(_NOT_FINITE, node.pos)
     return CreatorState(params, vectors if np.any(vectors.imag) else vectors.real.copy(),
                         monomials)
 

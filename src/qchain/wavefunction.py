@@ -150,6 +150,16 @@ def evaluate(state: CreatorState | FockState, basis: ModeBasis, q) -> complex:
     return complex(evaluate_batch(state, basis, q[None, :])[0])
 
 
+def _oscillator2d_frequency(nu1: int, nu2: int, mass: float, kappa: float) -> float:
+    """Check the 2D oscillator's parameters; returns its angular frequency."""
+    _check_integer("nu1", nu1)
+    _check_integer("nu2", nu2)
+    if nu1 < 0 or nu2 < 0:
+        raise ValueError(f"quantum numbers must be non-negative, got ({nu1}, {nu2})")
+    _check_oscillator(mass, kappa)
+    return math.sqrt(kappa / mass)
+
+
 def evaluate_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float, points) -> np.ndarray:
     """Separable two-dimensional oscillator eigenstate on (q1, q2) samples.
 
@@ -158,15 +168,10 @@ def evaluate_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float, points)
     nu2 along the second: the creators are the two unit vectors, applied
     nu1 and nu2 times.
     """
-    _check_integer("nu1", nu1)
-    _check_integer("nu2", nu2)
-    if nu1 < 0 or nu2 < 0:
-        raise ValueError("quantum numbers must be non-negative")
-    _check_oscillator(mass, kappa)
+    omega_ang = _oscillator2d_frequency(nu1, nu2, mass, kappa)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"expected points of shape (M, 2), got {points.shape}")
-    omega_ang = math.sqrt(kappa / mass)
     scale = np.full(2, math.sqrt(mass * omega_ang))
     return _evaluate(np.eye(2), [(1.0, (nu1, nu2))], points, scale)
 

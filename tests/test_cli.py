@@ -349,3 +349,18 @@ def test_thousand_distinct_creators_exit_2_not_traceback(tmp_path, capsys):
     assert code == 2
     assert "numeric error: every sampled wavefunction value is zero" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_deep_nesting_is_an_expression_error(tmp_path, capsys):
+    # 100 levels parse; the 101st '(' is reported, not a RecursionError
+    assert parse_state_expr("(" * 100 + "vac" + ")" * 100, 3) == parse_state_expr("vac", 3)
+    src = "(" * 350 + "vac" + ")" * 350
+    with pytest.raises(expr.StateExprError, match=r"nested deeper than 100 levels") as err:
+        parse_state_expr(src, 3)
+    assert err.value.pos == 100
+    code = main(["--n", "3", "--state", src, "--samples", "10", "--out", str(tmp_path / "x.svg")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("qchain: error: ") and err.endswith("(position 100)\n"), err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
-from qchain.chain import ChainParams, real_mode_basis
+from qchain.chain import ChainParams, creator_vector, real_mode_basis
 from qchain.cli import PRESETS
 from qchain.expr import build_state, creator_state, evaluate_expr, parse_state_expr
-from qchain.fock import FockState, apply_create, apply_create_local, linear_combine, vacuum
+from qchain.fock import (
+    FockState,
+    apply_create,
+    apply_create_local,
+    apply_creator,
+    linear_combine,
+    vacuum,
+)
 from qchain.sampling import RenderSpec, chain_window, draw_samples
 from qchain.wavefunction import (
     _wick_power,
@@ -431,6 +438,25 @@ def test_creator_form_merges_sums_and_repeats():
     pair = creator_state(parse_state_expr("b[5] b[5] vac + b[2] b[5] vac - b[5] b[2] vac", 5),
                          params)
     assert pair.vectors.dtype == float and pair.monomials == ((1.0, (2,)),)
+
+
+@pytest.mark.parametrize("n_sites, src, creators", [
+    (1, "a[0] b[1] vac", [[("a", 0)], [("b", 1)]]),  # one operator at N=1
+    (5, "(a[1] + a[2]) (a[2] + a[1]) vac", [[("a", 1), ("a", 2)], [("a", 2), ("a", 1)]]),
+])
+def test_creators_with_identical_vectors_share_one_row(n_sites, src, creators):
+    params = ChainParams(n_sites=n_sites)
+    basis = real_mode_basis(params)
+    state = creator_state(parse_state_expr(src, n_sites), params)
+    assert state.vectors.shape == (1, n_sites) and state.monomials == ((1.0, (2,)),)
+    fock = vacuum(params)  # each creator a sum of operators, applied right to left
+    for ops in reversed(creators):
+        fock = apply_creator(fock, sum(creator_vector(n_sites, *op) for op in ops))
+    points = draw_samples(RenderSpec(sample_count=500, window=chain_window(basis), seed=2),
+                          n_sites)
+    ref = evaluate_batch(fock, basis, points)
+    got = evaluate_batch(state, basis, points)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_creator_states_compare_by_value():
