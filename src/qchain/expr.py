@@ -223,7 +223,7 @@ class _Parser:
 # creators with bit-identical vectors are one; a sum of single creators is one
 # creator, the sum of coefficient times vector.
 
-_SCALAR, _OP, _STATE = "scalar", "operator", "state"
+_SCALAR, _OP, _STATE = "a scalar", "an operator", "a state"
 
 
 def _walk(node, params: ChainParams):
@@ -238,12 +238,13 @@ def _walk(node, params: ChainParams):
     if isinstance(node, Vac):
         return _STATE, {(): 1.0}
     if isinstance(node, Sum):
-        parts = [_walk(t, params) for t in node.terms]
-        kind = parts[0][0]
-        for t, (k, _) in zip(node.terms[1:], parts[1:]):
+        kind, value = _walk(node.terms[0], params)
+        values = [value]
+        for t in node.terms[1:]:
+            k, value = _walk(t, params)
             if k != kind:
-                raise StateExprError(f"cannot add a {k} to a {kind}", t.pos)
-        values = [v for _, v in parts]
+                raise StateExprError(f"cannot add {k} to {kind}", t.pos)
+            values.append(value)
         total = _sum(kind, node.terms, values)
         if not _finite(total):  # a running sum that overflows stays non-finite
             k = next(k for k in range(len(values))
@@ -251,11 +252,13 @@ def _walk(node, params: ChainParams):
             raise StateExprError(_NOT_FINITE, node.terms[k].pos)
         return kind, total
     if isinstance(node, Product):
-        kind, acc = _walk(node.factors[-1], params)
-        for factor in reversed(node.factors[:-1]):
-            fkind, fval = _walk(factor, params)
-            if fkind == _STATE:
+        walked = []  # left to right, so errors come out in text order
+        for factor in node.factors:
+            walked.append(_walk(factor, params))
+            if walked[-1][0] == _STATE and len(walked) < len(node.factors):
                 raise StateExprError("a state can only stand last in a product", factor.pos)
+        kind, acc = walked[-1]
+        for factor, (fkind, fval) in zip(node.factors[-2::-1], walked[-2::-1]):
             if kind == _SCALAR:
                 kind, acc = fkind, (fval * acc if fkind == _SCALAR else
                                     {m: c * acc for m, c in fval.items()})

@@ -20,6 +20,10 @@ import numpy as np
 
 from .chain import ChainParams, ModeBasis, creator_vector
 
+# Occupation terms x non-zero creator slots one creation may fan out to:
+# b[1] ... b[5] vac at N = 31 needs 1.44 million, b[1] ... b[6] vac 10 million.
+_MAX_EXPANSION = 2_000_000
+
 __all__ = [
     "CreatorState",
     "FockState",
@@ -85,12 +89,16 @@ def apply_creator(state: FockState, vector) -> FockState:
 
     Each term fans out into one term per non-zero slot, with the ladder factor
     sqrt(nu_k + 1), so creation on a normalized eigenstate yields a normalized
-    eigenstate.  Terms that cancel exactly are pruned.
+    eigenstate.  Terms that cancel exactly are pruned.  Raises ``ValueError``
+    before any work if the terms times the slots exceed a fixed bound.
     """
     vector, n_sites = np.asarray(vector), state.params.n_sites
     if vector.shape != (n_sites,):
         raise ValueError(f"creator vector must have shape ({n_sites},), got {vector.shape}")
     weights = [(slot, vector[slot].item()) for slot in np.flatnonzero(vector).tolist()]
+    if len(state.terms) * len(weights) > _MAX_EXPANSION:
+        raise ValueError(f"expanding {len(state.terms)} occupation terms over {len(weights)} "
+                         f"modes exceeds the bound of {_MAX_EXPANSION} term-mode pairs")
     out = {}
     for occ, amp in state.terms.items():
         for slot, weight in weights:

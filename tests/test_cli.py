@@ -257,6 +257,16 @@ def test_numeric_error_exits_2(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []  # no figure, no table, no state dump
 
 
+def test_state_dump_beyond_the_expansion_bound_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("qchain.fock._MAX_EXPANSION", 24)
+    code = main(["--n", "5", "--state", "b[2] b[1] vac", "--samples", "10",
+                 "--out", str(tmp_path / "x.svg"), "--dump-state", str(tmp_path / "x.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == ("qchain: numeric error: expanding 5 occupation terms over 5 "
+                                       "modes exceeds the bound of 24 term-mode pairs\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_numeric_error_is_one_line(tmp_path, capsys):
     # squaring coordinates near 1e200 overflows: the run reports its failure
     # itself, without numpy's warning, and leaves numpy's settings as they were

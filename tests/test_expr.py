@@ -101,6 +101,19 @@ def test_parse_errors_carry_positions():
                 parse()
 
 
+@pytest.mark.parametrize("src, message, pos", [
+    ("vac + a[1] + a[9] vac", "cannot add an operator to a state", 6),
+    ("a[9] b[9] vac", "wave number 9 out of range -2..2 for 5 sites", 0),
+    ("a[1] vac a[9]", "a state can only stand last in a product", 5),
+    ("2 + vac", "cannot add a state to a scalar", 4),
+    ("(a[1] + a[9]) (1e200 1e200 vac)", "wave number 9 out of range -2..2 for 5 sites", 8),
+])
+def test_the_first_error_in_text_order_is_reported(src, message, pos):
+    with pytest.raises(StateExprError) as err:
+        parse_state_expr(src, 5)
+    assert (str(err.value), err.value.pos) == (f"{message} (position {pos})", pos)
+
+
 def test_index_errors_match_the_fock_operators():
     # the expression and the operator say the same thing, apart from the position
     p3 = ChainParams(n_sites=3)

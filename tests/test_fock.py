@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qchain import fock
 from qchain.chain import ChainParams, mode_profile, real_mode_basis
+from qchain.expr import evaluate_expr, parse_state_expr
 from qchain.fock import (
     apply_create,
     apply_create_local,
@@ -106,6 +108,20 @@ def test_mixed_create_commutes_bit_identically():
             ab = apply_create(apply_create_local(v, site), k)
             ba = apply_create_local(apply_create(v, k), site)
             assert ab.terms == ba.terms
+
+
+def test_expansion_beyond_the_bound_is_refused(monkeypatch):
+    # b[2] b[1] vac at N=5: b[1] makes 5 terms, and b[2] fans each out over 5 modes
+    p5 = ChainParams(n_sites=5)
+    one = apply_create_local(vacuum(p5), 1)
+    monkeypatch.setattr(fock, "_MAX_EXPANSION", 25)
+    assert len(apply_create_local(one, 2).terms) == 15
+    monkeypatch.setattr(fock, "_MAX_EXPANSION", 24)
+    refused = "^expanding 5 occupation terms over 5 modes exceeds the bound of 24 term-mode pairs$"
+    with pytest.raises(ValueError, match=refused):
+        apply_create_local(one, 2)
+    with pytest.raises(ValueError, match=refused):
+        evaluate_expr(parse_state_expr("b[2] b[1] vac", 5), p5)
 
 
 def test_linear_combine_and_exact_cancellation():

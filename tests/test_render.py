@@ -39,9 +39,7 @@ from qchain.sampling import (
     sample_chain_state,
     sample_oscillator2d,
 )
-from old_record import old_svg, old_table
 from sample_ids import element_ids, shown_ids
-from v1_table import dump_v1
 
 
 def _make_batch(values, window=3.0, color_mode="diverging_real", n_dims=3, label="test"):
@@ -243,63 +241,61 @@ def test_phase_mode_uses_complex_magnitude():
     assert color != "#ffffff"
 
 
-# SHA-256 of the SVGs written by the per-vertex, per-sample renderer that the
-# bulk renderer replaced, when every sample still became an element; the bulk
-# writer with one element per sample (_elements_every_sample) must reproduce
-# them byte for byte.  The two *_2d cases were written by the
-# Hermite-recurrence 2D evaluator that the Wick evaluator replaced.  The SVG
-# and v2 table hashes below are of documents whose metadata or header line
-# old_record rewrites to the field set of that time.
-GOLDEN_EVERY_SAMPLE_SVG_SHA256 = {
-    ("fig1", 0): "229193d2488f69d9cc4a257f0354fce56130ce58a135eaf6a34258e635879a56",
-    ("fig1", 42): "3b2fb875ca42664f42ee3eb1e778d6ece8a9c4fd05cd53ef1f1310deb7630516",
-    ("fig2", 0): "00281e238625470df83bd2af60f3ef8381657a056c830425e34afbff3a911435",
-    ("fig2", 42): "8284a3b333cb56c572f680f1b20766a1fb0594728f846817acba174603e466c3",
-    ("fig3", 0): "060507b5b8b14ecb0b0bdc7cc143bbd5f34a40c795f225f1307f80ae825492b8",
-    ("fig3", 42): "d963c7e65bfebcba15e0d19fa67709b86e78fb6b0f4d71a50d3b61e86a99108d",
-    ("fig4", 0): "807c76b68d5e9c2d3941d2fb4e723f69184bf2ed683d0c3eb2eda8a98084f284",
-    ("fig4", 42): "aab05261835e9717243848a3c728bbc695a1e29d15d55d4ae6ae02ff3c276cbb",
-    ("fig5", 0): "fbee42cc6289c40039b6d607976618d2ee746396e02b1f09664a21a37e7f1aec",
-    ("fig5", 42): "f2f8f36e4b64388139cec86b5f1f6f4b3336738cf6e8485c8dc3a634f377f1c1",
-    ("fig6", 0): "b9911eaaf0f60e2340d1761d92f95e26aae99a9c4262ff7eea335df81faea50f",
-    ("fig6", 42): "e13e024e37d3fb5b452cc641bed9c8025dc8384f9ca12ae27b9c6a299f50d6f8",
-    ("fig7", 0): "12253c91bac71ef085dbba62b5abb31121477b4a2e6dab4676b92a8b710005bb",
-    ("fig7", 42): "63995509d02c8cf061fd2d2672e66e55dcfa626a74824ef73730a77099054430",
-    ("fig8a", 0): "68450a648bfdb66f16e02389b9ed165d2fca1e57e6fb0d04b7869d4346247189",
-    ("fig8a", 42): "a4a20ca8130f27d41f1f6d40334a5f2e0a7f86d1b0b9b25ec7031fa26521b7f9",
-    ("fig8b", 0): "2247d6e8ee256386e551c91182ae41c1323f031948209402ac46792b8eae4571",
-    ("fig8b", 42): "fcaa5f6cceed416e179b18681e3f8f8469eb10b9c1d50d13223cd078e35002b7",
-    ("mass_kappa_2d", 0): "d9cb3d7aa0cfdff5be525d14203260bdca7a7f382b533d5788fcb77934ac8643",
-    ("phase_hue_2d", 0): "bc0618792628308b1a484afc522dbd5c33893b2c86d0111e4f492852c08bb79d",
-    ("phase_hue", 0): "6eb9a5c8a23fdf30e9c1511b4aa6d89b57ac50ef2d13e62fe80426643bf36c7d",
-    ("phase_hue", 42): "776f91d9a9f4cb1641fa4e0ff12d0a2d115c4b1795f0c58eb9334aecd5edd6ed",
+# SHA-256 of the SVGs and --dump-samples tables (500 samples) the command line
+# wrote at commit 15870fe, every byte of them.  The same run checked that each
+# document, with its record line rewritten to the field set of its time,
+# still hashed to the pin before it: the SVG pins of the renderer that wrote
+# only the samples that show, themselves the figures of the per-vertex,
+# per-sample renderer with background samples removed (the *_2d cases were
+# written by the Hermite-recurrence 2D evaluator), and the table pins of the
+# first values-only (v2) writer.  Any changed byte fails them, the version in
+# the record included.
+GOLDEN_SVG_SHA256 = {
+    ("fig1", 0): "5422f2ef3de91d2cc72faefeb6be41be5af09d1bed424f7b6258e2c3beaae213",
+    ("fig1", 42): "b4d22a5c3a3ff90618fca2268f1afcf50b8da29cbfb4cf7849358e8680388370",
+    ("fig2", 0): "344bef786c3ec7fd488f2f61f368a5f85abf4bbf863c9df90aaf8490926369e7",
+    ("fig2", 42): "f750e936a81404102d440006120aeb1aeb14415841c3136d2c4d7df1b9ad79dc",
+    ("fig3", 0): "153db8bda2da95c92902415a36a1428aa1c1245ffccd368d02dc01fbc4c11a95",
+    ("fig3", 42): "e59aa3197f365d0e6e26a3943d1353b9762def484627775b0af4d9d1a457c6c9",
+    ("fig4", 0): "79f204adef0ab3fe48d6b7c4c7041de1a44ee4f1853b868a5c422d16cad17c16",
+    ("fig4", 42): "01fc5aa566e00d877a9f8c9085f0c3450dd1d8a8e8892d30c4880959fe775200",
+    ("fig5", 0): "4edf1a57a57f0a656bbfe2a582e120cfa71f61e955edefcd11e757ed4eee0659",
+    ("fig5", 42): "5b6bd20eb4bb5df92b559ab1167acbd094116560fdeee7367675983eddc19766",
+    ("fig6", 0): "195aff2ff9fa7582d444841607e75a092e0eef488ffb9c9c4107440df9f1f6e9",
+    ("fig6", 42): "12cc7d05a5b881fa0107debdcf1b2d100f1e1f1694776b410cf2cd9a7ac03ea3",
+    ("fig7", 0): "c68908df9428e89e3245cd97ef07aaef73014f6a685bec7723dc86dc94c6b767",
+    ("fig7", 42): "10b9e83b5b9fe924b0e9a0af3d23dbe96215e8815669896780bf0b3132944e15",
+    ("fig8a", 0): "fd5192a5f45f71222ef03863bbaf3dc7c3c31e545ca41acaa39292c7c0e1a393",
+    ("fig8a", 42): "bc8dce16f225b74eafbaec62fa799595eeac01ff43f9d1359b68e1c89e8360c5",
+    ("fig8b", 0): "1282696b6f650bfd3da4de0e761a0bef43e1c3ac68fe83217863c17fc898a794",
+    ("fig8b", 42): "57cd406a79683f51fb037b043fcb795ded1958bd941f34ae04e01523fdd16d01",
+    ("mass_kappa_2d", 0): "eee2081d38206406224ab0916d5024bc6b818dcb8fd42d3df17313a28c06a642",
+    ("phase_hue", 0): "b71742dbbbd1ae4ca735c1177ed730c1da4aa5f978a16d38962ce892725606b0",
+    ("phase_hue", 42): "cf36e3062bec298e3721dd6a207c7eebabc726c99e527d9f85a42a405400fc90",
+    ("phase_hue_2d", 0): "7bf777f9f3c7818f10b4098e1fe7c2d97b41a5d9d96e7fb661ca56911e71756b",
 }
 
-# SHA-256 of the same SVGs with every background-colored sample left out,
-# recorded once test_figures_are_every_sample_figures_without_background held.
-GOLDEN_SVG_SHA256 = {
-    ("fig1", 0): "5b0bbe7387e41571354975a808ce6c15010b86f20e5b8e1de70685b7d749d926",
-    ("fig1", 42): "0701f9c10132a98b081a2e9acd2edd4502a9b5eec82d05c95290d77f3436e551",
-    ("fig2", 0): "bdbec8a8bb32c9f13c6bfb252f6217cce10d037ad9e1aa61c051f51a90b7771b",
-    ("fig2", 42): "b2c832e4864622777b9ffee76a31e592314c78ef57764881a046b327a45f4a40",
-    ("fig3", 0): "6b2bd9b32a8ec0da2715b406b38d6703bf16435c96f766713c1264aada9e5c4e",
-    ("fig3", 42): "62c24dfacf2e00fba33de44a1e5b5da733176d71fac8c326e60df739d42482a2",
-    ("fig4", 0): "a27da039c278fbc3eed7fb95579674b207c2268fd368699eea73965a88fe884d",
-    ("fig4", 42): "b2d5fb7528a9eabedfb44243d629f27d15fe991d5b3742d7c9425a82fad81010",
-    ("fig5", 0): "08f4f286955c6cd2a5bb8946061a6b945edc205f1523f703935039c6cd2c21ae",
-    ("fig5", 42): "6257cd53654de63822a2b3afc6d55c606358fb8f2c53dbdc436fdb293db48d63",
-    ("fig6", 0): "45d5434a4ed353ad49755be23b0a9e5b8f0b7bfccccaf3cbe2c12b449480b626",
-    ("fig6", 42): "1cb8468063ebcbf6b1e0ae5531c1c18a2bc34929c68fb563085de6fb5eb8659d",
-    ("fig7", 0): "469fa566cd5353fff7260cfa2d32a7902a786e1288ae9f4607893ab275cb5fec",
-    ("fig7", 42): "ef483fba1e734785f1f1ddcef1cdee2fa5245bf65a38200cf6951d160b0eae61",
-    ("fig8a", 0): "e72e22b6f463fd1dac223ac9606d6ce8047fffad1b9d69aa3c7afcdddd3ff407",
-    ("fig8a", 42): "b3145934a8c6ea0a6dea3099af2b85bfdc1c4d13e865e81db35ee12afc976a65",
-    ("fig8b", 0): "803571f7e2b9dbfc290d49dc0c07a3a0a6455eb1d68564861698a40669df3e93",
-    ("fig8b", 42): "c86d3a6fec083c0d12170ebb698707fbe7e78c560d2b8d57561fcf2cdaa4822c",
-    ("mass_kappa_2d", 0): "c438caee24544986e16c04de408694f5ec543463d8ebfc797c6396610ac45087",
-    ("phase_hue_2d", 0): "1f8d1d146ced5aebf13bd6cb4dcfef4c446de8070d3580ef0c16f9a45d5dbcdc",
-    ("phase_hue", 0): "576988bac3a8194eb1329deaf4337a77906de2234eeb1f72a6b09e1d0de8eaeb",
-    ("phase_hue", 42): "17fd48b15141ae3b136d2966db5ee6aafa11cde529f032b1038e87e47b928e67",
+GOLDEN_TABLE_V2_SHA256 = {
+    ("fig1", 0): "40a2844852e20425905b1cad45bbf256905b5e6cb033d9b0959a657f5156d10c",
+    ("fig1", 42): "6b4be7d935b2c84868ad0f69b9c662ff304f075d283ef918c62f78786c5266e7",
+    ("fig2", 0): "93a3e2c1e410e02a82a3f18bbc5f1dd51b82230df95fe98b22d62568ec1e449a",
+    ("fig2", 42): "d1954be849c794ae5f5b94f5757fc5e2d3c5db14771563bf2abcbc2d98983d3e",
+    ("fig3", 0): "aa242965d30e2f651a6485edd314428e423fadacec91220ee02270da7356a169",
+    ("fig3", 42): "eacb547394784b6655389e9765be59c5d6e15e05ee752eeab52c5b665a00e454",
+    ("fig4", 0): "5c4cb5e19e4705436026b656c127823e21deac78a1e4101e1bae996ff8858cf2",
+    ("fig4", 42): "9198861109a1d249f85f97692b930b9a5c6c4b0a94d06a97adedf6b5a90b0aeb",
+    ("fig5", 0): "30f57a34f5a66856772d1efb7e7f9ee4eb371b901facdf621627b799642af618",
+    ("fig5", 42): "90e48235182c4321f145bca2009b4aa97d4ddc66c23e5362638d3f6d9d9e2e00",
+    ("fig6", 0): "49f21f0433e41caf046b0ff4f362d56860e70c71ed1ff3751f8576028a4c36fa",
+    ("fig6", 42): "3db9fe9251fa4ac1f5f0790c08972af5465a446b9a8286aa135b9a0827bb6fc2",
+    ("fig7", 0): "26ee04e15c4b8e133cdc19e9251fb445370b264c70b2c81cce849594fd877859",
+    ("fig7", 42): "aba447b03fe3cac83d21334e80562933ef1a93ccde09a57a54bf88dace694dd5",
+    ("fig8a", 0): "cd8808e0982f04c4368756fd2e4cbec1c8d366fb681560035b0c5a1eb5dad65e",
+    ("fig8a", 42): "bd63fb9b8e02a178ae50f68eb06cf8581945e4633c94f20904ebdb2136283b45",
+    ("fig8b", 0): "7211765e9b6eb49ef0eb3b11449d7d4e4e990d570968fd6bde992ae32a702c90",
+    ("fig8b", 42): "b984be4080142d934386f5a8ae2cbd990de04a1fef39074e24771964a252df1c",
+    ("phase_hue", 0): "fc9c86535bf39b34c787b07aa5964bb94bc1d76e19d9152be1b441f70b6973c2",
+    ("phase_hue", 42): "e20041eacb7b23b5532728f7234035de1b5348ae8d39f45294743d2eed8b1221",
 }
 
 # SHA-256 of the --dump-state files written by the evaluator that expanded
@@ -322,55 +318,6 @@ GOLDEN_STATE_SHA256 = {
         "0db85f0573b139e5345114509dd172b2ebe162615bd8f654d92c0126d982a821",
 }
 
-# SHA-256 of the --dump-samples tables (500 samples) written by the per-cell
-# table writer that the one-template-per-row writer replaced.
-GOLDEN_TABLE_SHA256 = {
-    ("fig1", 0): "1d9b1978317f541656c9fdc83c60981cbceab0bdfc63e9ab0883dc634f03a495",
-    ("fig1", 42): "075fc1b8c48bdf7dcddd85de00ecd4b13a96d5c05a099dfce941235efdeb3904",
-    ("fig2", 0): "9b3bb54b752296a3bc17df1e7f6ba1d345e2168823c99e02632074258f866f76",
-    ("fig2", 42): "ca9f2b985a02ce09aece21540a4aae17254a3618e8007ea0f0854ef3c83084e2",
-    ("fig3", 0): "cb75b58aee3a1c20ec055c60c03862eed66ce59b49cb4f964ef021eab5b7b918",
-    ("fig3", 42): "597ba704056080ee21070d00bcf16ba2b4fb93e9d26c8bcf0dd84c5c25f968bd",
-    ("fig4", 0): "6636b235f5a94cdfbf2e1616663aa1d5cf81243e2bb2f5184d151c8184650fc5",
-    ("fig4", 42): "701e795ccd08e7e4a7b5d3ccca0c24ecbad1d03eb4bb2b0ad864676f46914c9f",
-    ("fig5", 0): "ab53d23f77ede54d19dc303580310cf93f7d8f6859ea9ca20836afe1f38cc522",
-    ("fig5", 42): "b88e9f1b68a14ef87b3c99c6d5ad1513fae48331d398c94481c875d57c578aaf",
-    ("fig6", 0): "9fe96fa9b957383efc9777c1afed027c64034dad5f0f9e0f6da670e4fa744c0f",
-    ("fig6", 42): "a2cd8be2bab2472ea82d21a55c81370fa17fd376fdde43796fa6c02590a2ade3",
-    ("fig7", 0): "ef7245c5f91e5787ccd3fd0c54e011d3c916915f20ea4bda4ee30adcc5db96c4",
-    ("fig7", 42): "1cb268020f28399dbc09c6f58ded045140d34e218ffd2f3440b32f679f466063",
-    ("fig8a", 0): "c609d35c4c38e5b619f57bf025bd3cfc81d31bde01a36c19be538f9d80815ce2",
-    ("fig8a", 42): "d8ce633ef42c142034b3ec43c428f7ac1d5552101a6a10e8ce4f853f3fff403d",
-    ("fig8b", 0): "c4a33992eebe34665d66ef23af8c22a006a0488a991507943027407c8721ebbe",
-    ("fig8b", 42): "545b3b1b21c082a35ba908efb41ebff44e874ad4415f8c41c428b738e5a1c2d9",
-    ("phase_hue", 0): "875b2b14130602c56b33235137ec4843ba22f619a0d3610506d023c33ab31008",
-    ("phase_hue", 42): "f1badcd76c527a4485c45a9465c75ee969979838e43a9cd81ae41411fadc8002",
-}
-
-# SHA-256 of the same --dump-samples tables in the values-only v2 format.
-GOLDEN_TABLE_V2_SHA256 = {
-    ("fig1", 0): "091b15ad0188fca077fd34719e46361165929b412b6d826b5bd628e306d0dc78",
-    ("fig1", 42): "92e1f2de1cb9c7a7854014453e877f0ddfbcb732625a59432076eabadb69ab30",
-    ("fig2", 0): "23bc347fd7f8cd225493f6d4183ad4c135d490582cd2a0fe52f543e5acca3373",
-    ("fig2", 42): "eaf278a225d391b850f5da81455dea29b315667f77adc609e16099a76c32f0d4",
-    ("fig3", 0): "4254390cb03f53341f576e463e2c2dd70a1ccf379df49e07ffa29fefc8b638dd",
-    ("fig3", 42): "1944e5c3d5a529211d04f890baa204ed3714567148a93d047cedc8e9f35d9cf3",
-    ("fig4", 0): "eee4ad12d80aff4679bbef9e2871f5b5a584502fbbb41f96c9191c5cc675f83f",
-    ("fig4", 42): "9dedc4cfc91fd17be9a20ff31abb4bad5a1f313e6c1569dd2d197f5fbb671901",
-    ("fig5", 0): "327d3dfb44339fdd58a91a1ae759b4f3fadd08d3c34ac4fd0f4f4db4058c8f16",
-    ("fig5", 42): "f1fb68cd4dc04d16da154bdd5806bb008f9e345510dcd1364b5dde5a67d9c569",
-    ("fig6", 0): "f46381b3c16cf428424b27e5362e4e8c4ab3818786cc1894e4525e739cdcf7b9",
-    ("fig6", 42): "316ea03c7268a3248fa79f0814a25e11c25ddca1c0d3364b12fe1ad8c509ff9c",
-    ("fig7", 0): "453a17d673db2779c97b3097d31bab6ac0a1a3f0eb480447a2c34df88b20fa49",
-    ("fig7", 42): "dd4cb32294c3c0a70afd4bb02f045e75da5eb7b4e1d8fd30b1d5ffca140b26f6",
-    ("fig8a", 0): "a2da20ce2155a91e4cf03bcf59122549cac85d9d4ab0540444246e56269aa81c",
-    ("fig8a", 42): "1548e78e2dd4132da8953c000e8544833329bc9c2eac2fd10ea255436550934f",
-    ("fig8b", 0): "3f1df9abd96c830d9962092e576716ed2aef965716d08b01d3be3b7a9d8f2684",
-    ("fig8b", 42): "1450d0368cb3f4825276e4598012b90e32550d755ef8d3977aebf3fd245d4e40",
-    ("phase_hue", 0): "12d6deb524e576576906bbfacadd64131903b85d5343cb7f6fb77e3a0015be83",
-    ("phase_hue", 42): "e84f2ce4fabb05df092e98c36c318827d8496a6286cb04c596bad7e847ec156d",
-}
-
 NON_PRESET_ARGS = {
     "phase_hue": ["--n", "15", "--state", "(a[1] + i a[-1]) vac", "--color-mode", "phase_hue"],
     "mass_kappa_2d": ["--mode2d", "--nu1", "5", "--nu2", "3", "--mass", "2", "--kappa", "0.5"],
@@ -386,34 +333,25 @@ def _figure_bytes(figure, seed, out):
 
 @pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
 def test_figures_byte_identical_to_golden(figure, seed, tmp_path, capsys):
-    svg = old_svg(_figure_bytes(figure, seed, tmp_path / "figure.svg"))
+    svg = _figure_bytes(figure, seed, tmp_path / "figure.svg")
     capsys.readouterr()
     assert hashlib.sha256(svg).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
 
 
-def _elements_every_sample(template, batch, pixels):
-    """The sample writer before background-colored samples were left out."""
-    order = draw_order(batch.values)
-    rows = zip(order.tolist(), pixels(batch.points[order]).tolist(),
-               _hex_colors(_rgb(batch, order)))
-    return [template % (idx, *row, color) for idx, row, color in rows]
-
-
-_BACKGROUND_SAMPLE = re.compile(rb'<\w+ id="s\d+" [^\n]*(?:stroke|fill)="#ffffff"[^\n]*/>\n')
-
-
-@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_EVERY_SAMPLE_SVG_SHA256))
-def test_figures_are_every_sample_figures_without_background(figure, seed, tmp_path, capsys,
-                                                            monkeypatch):
-    # The old writer still writes the pinned documents, and each of them with its
-    # background-colored samples removed hashes to the document that
-    # test_figures_byte_identical_to_golden requires of today's writer.
-    monkeypatch.setattr(render, "_elements", _elements_every_sample)
-    every = old_svg(_figure_bytes(figure, seed, tmp_path / "every.svg"))
+@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
+def test_figures_are_every_sample_figures_without_background(figure, seed, tmp_path, capsys):
+    # Each golden figure draws every sample of the batch it wrote, in draw
+    # order, less the samples whose color is the background.
+    table = tmp_path / "samples.txt"
+    args = NON_PRESET_ARGS.get(figure, [figure])
+    assert main(args + ["--seed", str(seed), "--out", str(tmp_path / "figure.svg"),
+                        "--dump-samples", str(table)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(every).hexdigest() == GOLDEN_EVERY_SAMPLE_SVG_SHA256[figure, seed]
-    without = _BACKGROUND_SAMPLE.sub(b"", every)
-    assert hashlib.sha256(without).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
+    batch = load_samples(table.read_text())
+    svg = (tmp_path / "figure.svg").read_text()
+    tag = "circle" if batch.n_dims == 2 else "polyline"
+    assert element_ids(svg, tag) == shown_ids(batch)
+    assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
 
 
 @pytest.mark.parametrize("state", GOLDEN_STATE_SHA256, ids=str)
@@ -434,19 +372,9 @@ def _table_bytes(figure, seed, tmp_path):
     return table.read_bytes()
 
 
-@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_TABLE_SHA256))
-def test_sample_tables_byte_identical_to_golden(figure, seed, tmp_path, capsys):
-    # The CLI writes v2 tables.  The v1 table of the batch it wrote, every
-    # point and value as text, still has the pinned bytes.
-    batch = load_samples(_table_bytes(figure, seed, tmp_path).decode())
-    capsys.readouterr()
-    v1 = dump_v1(batch)
-    assert hashlib.sha256(v1.encode()).hexdigest() == GOLDEN_TABLE_SHA256[figure, seed]
-
-
 @pytest.mark.parametrize("figure, seed", sorted(GOLDEN_TABLE_V2_SHA256))
 def test_v2_sample_tables_byte_identical_to_golden(figure, seed, tmp_path, capsys):
-    table = old_table(_table_bytes(figure, seed, tmp_path))
+    table = _table_bytes(figure, seed, tmp_path)
     capsys.readouterr()
     assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_V2_SHA256[figure, seed]
 
@@ -521,8 +449,12 @@ def test_tables_carry_the_state_parameters(name, params, tmp_path, capsys):
     batch = load_samples(text)
     assert batch.state_params == params
     assert dump_samples(batch) == text  # the parameters round-trip
-    # a table of the old field set and order, as the golden gate writes it, loads the same
-    old = load_samples(old_table(text.encode()).decode())
+    # a table of the field set and order before the record held the state's parameters
+    fields, rows = _table_record(text.encode()), text.partition("\n")[2]
+    keys = ("n_dims", "samples", "seed", "window", "mode", "color_mode", "width", "height",
+            "rng", "points_sha256", "state")
+    old = load_samples("# qchain-samples v2, " + ", ".join(f"{k}={fields[k]}" for k in keys)
+                       + "\n" + rows)
     assert old.state_params == ()
     assert (old.spec, old.state_label) == (batch.spec, batch.state_label)
     assert old.points.tobytes() == batch.points.tobytes()

@@ -23,7 +23,6 @@ from qchain.sampling import (
     sample_oscillator2d,
 )
 from qchain.wavefunction import evaluate, evaluate_oscillator2d
-from v1_table import dump_v1
 
 
 def test_render_spec_validation():
@@ -345,7 +344,10 @@ def test_load_rejects_malformed_tables():
     spec = RenderSpec(sample_count=3, window=3.0, seed=2)
     batch = sample_chain_state(vacuum(params), basis, spec, state_label="vac")
     # a v1 table, whose rows also held the points, is no longer read
-    for v1 in (dump_v1(batch), dump_v1(batch).replace("\n", "\r\n")):
+    v1 = ("# qchain-samples v1, n_dims=1, samples=1, seed=0, window=3, mode=parallel_axes, "
+          "color_mode=diverging_real, width=900, height=560, rng=numpy-PCG64, state=vac\n"
+          "0.5,1,0\n")
+    for v1 in (v1, v1.replace("\n", "\r\n")):
         with pytest.raises(ValueError, match="^qchain-samples v1 tables are no longer read"):
             load_samples(v1)
     good = dump_samples(batch)
