@@ -8,15 +8,17 @@ polyline per sample, colored by the wavefunction value; background-colored
 samples are left out); ``--mode2d`` draws a two-dimensional oscillator
 eigenstate as a scatter chart instead.
 
-Exit codes: 0 success, 1 usage or expression error, 2 numeric failure,
-3 I/O failure.  Every output text is complete before any file is touched,
-and the files are staged as temp files and renamed into place only once all
-are written, so a failed run leaves no output file.
+Exit codes: 0 success, 1 usage or expression error (two outputs naming one
+file among them), 2 numeric failure, 3 I/O failure.  Every output text is
+complete before any file is touched, and the files are staged as temp files
+and renamed into place only once all are written, so a failed run leaves no
+output file.  The files get the mode the umask gives a new file.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import tempfile
@@ -101,7 +103,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _write_atomic(outputs):
     """Write each (path, text) pair to a temp file in the path's directory, then
-    rename every temp file into place; on any error, remove the temp files."""
+    rename every temp file into place; on any error, remove the temp files.
+
+    A path that is an existing directory raises ``IsADirectoryError`` before
+    anything is staged.  Each file gets the mode a new file gets under the
+    process umask, not ``mkstemp``'s 0600.
+    """
+    for path, _ in outputs:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    umask = os.umask(0o077)  # read by setting it: the command line runs on one thread
+    os.umask(umask)
     staged = []
     try:
         for path, text in outputs:
@@ -110,6 +122,7 @@ def _write_atomic(outputs):
             staged.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -163,10 +176,16 @@ def main(argv=None) -> int:
             height=args.height,
         )
         out = default_out if args.out is None else args.out
+        flags = {}  # each output's real path, and the flag that named it
         for flag, path in (("--out", out), ("--dump-samples", args.dump_samples),
                            ("--dump-state", args.dump_state)):
             if path == "":
                 raise ValueError(f"{flag} needs a file path, got an empty one")
+            if path is not None:
+                real = os.path.realpath(path)
+                if real in flags:
+                    raise ValueError(f"{flags[real]} and {flag} name the same file {path!r}")
+                flags[real] = flag
     except (StateExprError, ValueError) as exc:
         print(f"qchain: error: {exc}", file=sys.stderr)
         return 1
@@ -174,14 +193,15 @@ def main(argv=None) -> int:
     # the numeric failures of this phase are reported below, in one line each
     with np.errstate(all="ignore"):
         try:
+            # occupation terms are expanded only for the dump, before the draw,
+            # so a refused expansion fails whatever the sample count
+            state_text = None if args.dump_state is None else dump_state(expand_state(state))
             if args.mode2d:
                 batch = sample_oscillator2d(nu1, nu2, args.mass, args.kappa, spec)
                 render = render_scatter2d
             else:
                 batch = sample_chain_state(state, basis, spec, state_label=label)
                 render = render_parallel_axes
-            # occupation terms are expanded only for the dump, before any write
-            state_text = None if args.dump_state is None else dump_state(expand_state(state))
             if not np.any(batch.values):
                 raise ValueError("every sampled wavefunction value is zero")
             outputs = [(out, render(batch))]

@@ -33,7 +33,7 @@ from html import escape
 
 import numpy as np
 
-from .sampling import PLOT_MARGINS, TOOL_ID, SampleBatch, provenance  # noqa: F401 (re-export)
+from .sampling import PLOT_MARGINS, SampleBatch, provenance
 
 __all__ = [
     "diverging_color",

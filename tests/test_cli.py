@@ -189,6 +189,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert "window" not in err, (argv, err)
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the run could fail")
+
+
 @pytest.mark.parametrize("flag, value", [("--out", ""), ("--dump-samples", ""),
                                          ("--dump-state", ""), ("--window", "inf"),
                                          ("--window", "nan"), ("--window", "1e308"),
@@ -196,11 +200,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                                          ("--state", "1e200 1e200 vac")])
 def test_empty_path_or_non_finite_window_exits_1_before_sampling(flag, value, tmp_path,
                                                                  monkeypatch, capsys):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the arguments were checked")
-
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("qchain.cli.sample_chain_state", no_sampling)
+    monkeypatch.setattr("qchain.cli.sample_chain_state", _no_sampling)
     code = main(["--n", "3", "--state", "vac", "--samples", "10", flag, value])
     err = capsys.readouterr().err
     assert code == 1
@@ -240,6 +241,51 @@ def test_failed_extra_output_leaves_no_file(tmp_path, capsys, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("first, second", [("--out", "--dump-samples"),
+                                           ("--out", "--dump-state"),
+                                           ("--dump-samples", "--dump-state")])
+def test_two_outputs_naming_one_file_exit_1_before_sampling(first, second, tmp_path,
+                                                            monkeypatch, capsys):
+    # one output would overwrite the other: the run refuses, whatever the spelling
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qchain.cli.sample_chain_state", _no_sampling)
+    code = main(["--n", "3", "--state", "vac", "--samples", "10",
+                 first, "x", second, str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"qchain: error: {first} and {second} name the same "
+                                       f"file '{tmp_path / 'x'}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--dump-state", "--dump-samples"])
+def test_directory_target_exits_3_and_leaves_no_file(tmp_path, capsys, flag):
+    # the figure comes first among the outputs; a later target that is a directory
+    # still fails the run before any file is staged
+    (tmp_path / "adir").mkdir()
+    code = main(["--n", "3", "--state", "vac", "--samples", "10",
+                 "--out", str(tmp_path / "chain.svg"), flag, str(tmp_path / "adir")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "Is a directory" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_outputs_take_the_mode_of_a_new_file(umask, mode, tmp_path, capsys):
+    paths = [tmp_path / name for name in ("chain.svg", "samples.txt", "state.txt")]
+    old = os.umask(umask)
+    try:
+        code = main(["--n", "3", "--state", "a[1] vac", "--samples", "10",
+                     "--out", str(paths[0]), "--dump-samples", str(paths[1]),
+                     "--dump-state", str(paths[2])])
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert code == 0
+    assert [oct(p.stat().st_mode & 0o777) for p in paths] == [oct(mode)] * 3
+
+
 def test_numeric_error_exits_2(tmp_path, capsys):
     # a finite amplitude of 1e308 overflows the values to infinity, which the
     # sample batch rejects; 10**12 samples of 3 sites exceed the point-cell
@@ -258,7 +304,9 @@ def test_numeric_error_exits_2(tmp_path, capsys):
 
 
 def test_state_dump_beyond_the_expansion_bound_exits_2(tmp_path, monkeypatch, capsys):
+    # the expansion is refused before the draw, whatever the sample count
     monkeypatch.setattr("qchain.fock._MAX_EXPANSION", 24)
+    monkeypatch.setattr("qchain.cli.sample_chain_state", _no_sampling)
     code = main(["--n", "5", "--state", "b[2] b[1] vac", "--samples", "10",
                  "--out", str(tmp_path / "x.svg"), "--dump-state", str(tmp_path / "x.txt")])
     assert code == 2

@@ -30,4 +30,4 @@ def test_package_all_is_the_module_lists():
 
 
 def test_svg_tool_id_carries_the_package_version():
-    assert render.TOOL_ID == f"qchain {qchain.__version__}"
+    assert sampling.TOOL_ID == f"qchain {qchain.__version__}"

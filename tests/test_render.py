@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qchain
-from qchain import render
 from qchain.chain import ChainParams, real_mode_basis
 from qchain.cli import main
 from qchain.expr import build_state
@@ -30,6 +29,7 @@ from qchain.render import (
     render_scatter2d,
 )
 from qchain.sampling import (
+    TOOL_ID,
     RenderSpec,
     SampleBatch,
     chain_window,
@@ -39,7 +39,16 @@ from qchain.sampling import (
     sample_chain_state,
     sample_oscillator2d,
 )
-from sample_ids import element_ids, shown_ids
+from sample_ids import (
+    REF_BACKGROUND,
+    REF_NEGATIVE,
+    REF_POSITIVE,
+    element_ids,
+    ref_batch_colors,
+    ref_diverging,
+    ref_phase,
+    shown_ids,
+)
 
 
 def _make_batch(values, window=3.0, color_mode="diverging_real", n_dims=3, label="test"):
@@ -325,35 +334,6 @@ NON_PRESET_ARGS = {
 }
 
 
-def _figure_bytes(figure, seed, out):
-    args = NON_PRESET_ARGS.get(figure, [figure])
-    assert main(args + ["--seed", str(seed), "--out", str(out)]) == 0
-    return out.read_bytes()
-
-
-@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
-def test_figures_byte_identical_to_golden(figure, seed, tmp_path, capsys):
-    svg = _figure_bytes(figure, seed, tmp_path / "figure.svg")
-    capsys.readouterr()
-    assert hashlib.sha256(svg).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
-
-
-@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
-def test_figures_are_every_sample_figures_without_background(figure, seed, tmp_path, capsys):
-    # Each golden figure draws every sample of the batch it wrote, in draw
-    # order, less the samples whose color is the background.
-    table = tmp_path / "samples.txt"
-    args = NON_PRESET_ARGS.get(figure, [figure])
-    assert main(args + ["--seed", str(seed), "--out", str(tmp_path / "figure.svg"),
-                        "--dump-samples", str(table)]) == 0
-    capsys.readouterr()
-    batch = load_samples(table.read_text())
-    svg = (tmp_path / "figure.svg").read_text()
-    tag = "circle" if batch.n_dims == 2 else "polyline"
-    assert element_ids(svg, tag) == shown_ids(batch)
-    assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
-
-
 @pytest.mark.parametrize("state", GOLDEN_STATE_SHA256, ids=str)
 def test_state_dumps_byte_identical_to_golden(state, tmp_path, capsys):
     dump = tmp_path / "state.txt"
@@ -362,21 +342,6 @@ def test_state_dumps_byte_identical_to_golden(state, tmp_path, capsys):
                         "--dump-state", str(dump)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == GOLDEN_STATE_SHA256[state]
-
-
-def _table_bytes(figure, seed, tmp_path):
-    table = tmp_path / "samples.txt"
-    args = NON_PRESET_ARGS.get(figure, [figure])
-    assert main(args + ["--samples", "500", "--seed", str(seed), "--out",
-                        str(tmp_path / "figure.svg"), "--dump-samples", str(table)]) == 0
-    return table.read_bytes()
-
-
-@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_TABLE_V2_SHA256))
-def test_v2_sample_tables_byte_identical_to_golden(figure, seed, tmp_path, capsys):
-    table = _table_bytes(figure, seed, tmp_path)
-    capsys.readouterr()
-    assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_V2_SHA256[figure, seed]
 
 
 # Runs beyond the golden cases whose figures and tables must regenerate from
@@ -390,14 +355,63 @@ RECORD_ARGS = {
     "window_phase_hue": ["--n", "5", "--state", "(a[1] - 0.5i a[-2]) vac", "--window", "2.7",
                          "--color-mode", "phase_hue", "--seed", "3"],
 }
-RECORD_CASES = [pytest.param(NON_PRESET_ARGS.get(f, [f]) + ["--seed", str(seed)], id=f"{f}-{seed}")
-                for f, seed in sorted(GOLDEN_SVG_SHA256)]
-RECORD_CASES += [pytest.param(args, id=name) for name, args in RECORD_ARGS.items()]
+
+
+def _golden_argv(figure, seed):
+    return NON_PRESET_ARGS.get(figure, [figure]) + ["--seed", str(seed)]
+
+
+# The command line of each run the golden tests check: the figures at the
+# default 20000 samples, the tables at 500, and the record runs.
+RUNS = {f"{f}-{seed}": _golden_argv(f, seed) for f, seed in sorted(GOLDEN_SVG_SHA256)}
+RUNS |= {f"{f}-{seed}-samples500": _golden_argv(f, seed) + ["--samples", "500"]
+         for f, seed in sorted(GOLDEN_TABLE_V2_SHA256)}
+RUNS |= RECORD_ARGS
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The figure and table of a run in RUNS: one command-line run, made when a
+    test first asks for it, for every test that checks it."""
+    made = {}
+
+    def run(name):
+        if name not in made:
+            out = tmp_path_factory.mktemp("run")
+            svg, table = out / "figure.svg", out / "samples.txt"
+            assert main(RUNS[name] + ["--out", str(svg), "--dump-samples", str(table)]) == 0
+            made[name] = svg, table
+        svg, table = made[name]
+        return svg.read_bytes(), table.read_bytes()
+
+    return run
+
+
+@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_SVG_SHA256))
+def test_figures_byte_identical_to_golden(figure, seed, golden_run):
+    svg, _ = golden_run(f"{figure}-{seed}")
+    assert hashlib.sha256(svg).hexdigest() == GOLDEN_SVG_SHA256[figure, seed]
+
+
+@pytest.mark.parametrize("figure, seed", sorted(GOLDEN_TABLE_V2_SHA256))
+def test_v2_sample_tables_byte_identical_to_golden(figure, seed, golden_run):
+    _, table = golden_run(f"{figure}-{seed}-samples500")
+    assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_V2_SHA256[figure, seed]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_figures_are_every_sample_figures_without_background(name, golden_run):
+    # the figure draws the samples of its own table, in draw order, less the
+    # samples whose color is the background
+    svg, table = golden_run(name)
+    batch = load_samples(table.decode())
+    tag = "circle" if batch.n_dims == 2 else "polyline"
+    assert element_ids(svg.decode(), tag) == shown_ids(batch)
 
 
 def _record_argv(fields):
     """The command line that a run's record describes, built from nothing else."""
-    assert (fields["tool"], fields["rng"]) == (render.TOOL_ID, "numpy-PCG64")
+    assert (fields["tool"], fields["rng"]) == (TOOL_ID, "numpy-PCG64")
     keys = ["samples", "seed", "window", "color_mode", "width", "height", "mass", "kappa"]
     if "nu1" in fields:  # the 2D oscillator: its label only names nu1 and nu2
         argv, keys = ["--mode2d"], keys + ["nu1", "nu2"]
@@ -418,11 +432,9 @@ def _table_record(table: bytes):
     return read_provenance(header, ", ")
 
 
-@pytest.mark.parametrize("argv", RECORD_CASES)
-def test_figures_and_tables_regenerate_from_their_own_record(argv, tmp_path, capsys):
-    svg, table = tmp_path / "figure.svg", tmp_path / "samples.txt"
-    assert main(argv + ["--out", str(svg), "--dump-samples", str(table)]) == 0
-    svg, table = svg.read_bytes(), table.read_bytes()
+@pytest.mark.parametrize("name", RUNS)
+def test_figures_and_tables_regenerate_from_their_own_record(name, golden_run, tmp_path):
+    svg, table = golden_run(name)
     svg_fields, table_fields = _svg_record(svg), _table_record(table)
     table_fields.pop("points_sha256")
     assert svg_fields == table_fields  # one record, less the table's digest
@@ -432,7 +444,6 @@ def test_figures_and_tables_regenerate_from_their_own_record(argv, tmp_path, cap
     assert main(_record_argv(_table_record(table)) + ["--out", str(tmp_path / "t.svg"),
                                                       "--dump-samples", str(again_table)]) == 0
     assert again_table.read_bytes() == table
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name, params", [
@@ -462,49 +473,13 @@ def test_tables_carry_the_state_parameters(name, params, tmp_path, capsys):
 
 
 def test_fig2_metadata_line(tmp_path, capsys):
-    svg = _figure_bytes("fig2", 0, tmp_path / "fig2.svg").decode()
+    assert main(["fig2", "--out", str(tmp_path / "fig2.svg")]) == 0
     capsys.readouterr()
+    svg = (tmp_path / "fig2.svg").read_text()
     assert re.search("<metadata>(.*)</metadata>", svg).group(1) == (
         f"tool=qchain {qchain.__version__}; rng=numpy-PCG64; seed=0; samples=20000; window=3; "
         "n_dims=15; mode=parallel_axes; color_mode=diverging_real; width=900; height=560; "
         "mass=1; kappa=1; gamma=1; state=vac")
-
-
-# Reference color maps: the scalar formulas the array kernels replaced.
-REF_POSITIVE, REF_NEGATIVE, REF_BACKGROUND = (178, 24, 43), (33, 102, 172), (255, 255, 255)
-
-
-def _ref_mix(rgb, strength):
-    return tuple(int(round(b + strength * (c - b))) for b, c in zip(REF_BACKGROUND, rgb))
-
-
-def _ref_hex(rgb):
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
-
-
-def ref_diverging(value, vmax):
-    if vmax <= 0:
-        return _ref_hex(REF_BACKGROUND)
-    t = min(1.0, max(-1.0, value / vmax))
-    return _ref_hex(_ref_mix(REF_POSITIVE if t >= 0 else REF_NEGATIVE, abs(t)))
-
-
-def ref_phase(value, vmax):
-    if vmax <= 0:
-        return _ref_hex(REF_BACKGROUND)
-    strength = min(1.0, abs(value) / vmax)
-    hue = (np.angle(value) / (2.0 * np.pi)) % 1.0
-    full = tuple(int(round(255 * c)) for c in colorsys.hsv_to_rgb(hue, 1.0, 1.0))
-    return _ref_hex(_ref_mix(full, strength))
-
-
-def ref_batch_colors(values, color_mode):
-    values = np.asarray(values, dtype=complex)
-    if color_mode == "phase_hue":
-        vmax = float(np.max(np.abs(values)))
-        return [ref_phase(v, vmax) for v in values]
-    vmax = float(np.max(np.abs(values.real)))
-    return [ref_diverging(float(v), vmax) for v in values.real]
 
 
 def _batch_colors(values, color_mode):

@@ -254,7 +254,7 @@ def _assert_loads_like_reference(batch):
 
 
 @pytest.mark.parametrize("kind", sorted(_EDGE_VALUES))
-def test_codec_matches_per_cell_reference(kind):
+def test_reader_matches_per_cell_reference(kind):
     batch = _drawn_batch(_EDGE_VALUES[kind])
     assert dump_samples(batch).splitlines()[1].startswith("-0,")  # negative zeros survive
     _assert_loads_like_reference(batch)
@@ -263,7 +263,7 @@ def test_codec_matches_per_cell_reference(kind):
 @settings(max_examples=150, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(2)),
               elements=st.floats(allow_nan=False, allow_infinity=False)))
-def test_codec_matches_per_cell_reference_on_any_finite_table(table):
+def test_reader_matches_per_cell_reference_on_any_finite_table(table):
     _assert_loads_like_reference(_cell_batch(table))
 
 
@@ -276,7 +276,7 @@ def _edge_cells():
     return np.array(cells)
 
 
-def test_codec_matches_per_cell_reference_on_edges_and_many_chunks():
+def test_reader_matches_per_cell_reference_on_edges_and_random_bits():
     _assert_loads_like_reference(_cell_batch(_edge_cells().reshape(-1, 2)))
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2**64, size=(3000, 17), dtype=np.uint64).view(np.float64)
@@ -486,7 +486,7 @@ def test_non_finite_window_is_rejected():
         load_samples(text.replace(", window=3,", ", window=inf,"))
 
 
-def test_load_splits_rows_at_newlines_across_chunks():
+def test_reader_splits_rows_only_at_newlines():
     batch = _cell_batch(np.random.default_rng(9).uniform(-3.0, 3.0, size=(8000, 5))[:, 3:])
     text = dump_samples(batch)
     lines = text.splitlines()
