@@ -27,6 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Cells of an array of doubles that a draw (samples x n_dims) or a mode basis
+# (N x N) may hold: 2 GiB.  N = 1001 at 20000 samples is 2e7; N <= 16383.
+_MAX_POINT_CELLS = 2**28
+
 __all__ = [
     "ChainParams",
     "ModeBasis",
@@ -172,7 +176,15 @@ def mode_spectrum(params: ChainParams) -> np.ndarray:
 
 
 def real_mode_basis(params: ChainParams) -> ModeBasis:
-    """Diagonalize the chain: real orthonormal mode basis and mode frequencies."""
+    """Diagonalize the chain: real orthonormal mode basis and mode frequencies.
+
+    Raises ``ValueError`` before any allocation if the N x N basis exceeds
+    ``_MAX_POINT_CELLS`` cells.
+    """
+    n = params.n_sites
+    if n * n > _MAX_POINT_CELLS:
+        raise ValueError(f"a mode basis holds at most {_MAX_POINT_CELLS} cells (N x N), "
+                         f"not {n} x {n}")
     basis = np.array([mode_profile(params.n_sites, site) for site in range(1, params.n_sites + 1)])
     frequencies = np.sqrt(mode_spectrum(params) / params.mass)
     for arr in (basis, frequencies):

@@ -22,6 +22,7 @@ from .chain import ChainParams, ModeBasis, creator_vector
 
 # Occupation terms x non-zero creator slots one creation may fan out to:
 # b[1] ... b[5] vac at N = 31 needs 1.44 million, b[1] ... b[6] vac 10 million.
+# expand_state checks every creation of a state against it before the first.
 _MAX_EXPANSION = 2_000_000
 
 __all__ = [
@@ -84,6 +85,14 @@ def vacuum(params: ChainParams) -> FockState:
     return FockState(params, {(0,) * params.n_sites: 1.0 + 0.0j})
 
 
+def _check_expansion(terms: int, slots: int):
+    """Refuse a creation that fans ``terms`` occupation terms out over ``slots`` modes
+    when that exceeds ``_MAX_EXPANSION`` term-mode pairs."""
+    if terms * slots > _MAX_EXPANSION:
+        raise ValueError(f"expanding {terms} occupation terms over {slots} "
+                         f"modes exceeds the bound of {_MAX_EXPANSION} term-mode pairs")
+
+
 def apply_creator(state: FockState, vector) -> FockState:
     """Apply the creator sum_k vector[k] a^+_k, a vector in mode space.
 
@@ -96,9 +105,7 @@ def apply_creator(state: FockState, vector) -> FockState:
     if vector.shape != (n_sites,):
         raise ValueError(f"creator vector must have shape ({n_sites},), got {vector.shape}")
     weights = [(slot, vector[slot].item()) for slot in np.flatnonzero(vector).tolist()]
-    if len(state.terms) * len(weights) > _MAX_EXPANSION:
-        raise ValueError(f"expanding {len(state.terms)} occupation terms over {len(weights)} "
-                         f"modes exceeds the bound of {_MAX_EXPANSION} term-mode pairs")
+    _check_expansion(len(state.terms), len(weights))
     out = {}
     for occ, amp in state.terms.items():
         for slot, weight in weights:
@@ -143,13 +150,28 @@ def linear_combine(pairs) -> FockState:
 
 def expand_state(state: CreatorState) -> FockState:
     """Occupation-number terms of a creator state: each monomial applies its
-    creator vectors to ``vac``, last row first."""
+    creator vectors to ``vac``, last row first.
+
+    Raises ``ValueError`` before any creation if a creation step could exceed
+    the bound of :func:`apply_creator`.  After q quanta from creators whose
+    non-zero slots span U, a monomial has at most the terms before times the
+    slots of the last creator, and at most C(|U| + q - 1, q), the occupations
+    of q quanta in U.
+    """
+    steps = [[row for row, m in reversed(list(enumerate(mult))) for _ in range(m)]
+             for _, mult in state.monomials]
+    slots = [set(np.flatnonzero(vector).tolist()) for vector in state.vectors]
+    for rows in steps:
+        terms, support = 1, set()
+        for q, row in enumerate(rows, start=1):
+            _check_expansion(terms, len(slots[row]))
+            support |= slots[row]
+            terms = min(terms * len(slots[row]), math.comb(len(support) + q - 1, q))
     pairs = []
-    for coeff, mult in state.monomials:
+    for (coeff, _), rows in zip(state.monomials, steps):
         fock = vacuum(state.params)
-        for vector, m in reversed(list(zip(state.vectors, mult))):
-            for _ in range(m):
-                fock = apply_creator(fock, vector)
+        for row in rows:
+            fock = apply_creator(fock, state.vectors[row])
         pairs.append((coeff, fock))
     return linear_combine(pairs) if pairs else FockState(state.params, {})
 

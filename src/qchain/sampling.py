@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .chain import ModeBasis, _check_integer
+from .chain import _MAX_POINT_CELLS, ModeBasis, _check_integer
 from .fock import CreatorState, FockState
 from .wavefunction import evaluate_batch, evaluate_oscillator2d
 
@@ -53,7 +53,6 @@ RNG_ID = "numpy-PCG64"
 _PARAM_KEYS = ("mass", "kappa", "gamma", "nu1", "nu2")  # a state's parameters, in record order
 
 _HEAD = "# qchain-samples v2, "
-_MAX_POINT_CELLS = 2**28  # samples x n_dims of a draw: 2 GiB of points; N=1001 x 20000 is 2e7
 
 COLOR_MODES = ("diverging_real", "phase_hue")
 

@@ -11,7 +11,8 @@ FockState term |nu> is that quotient for unit vectors.  The vacuum psi0 is
 summed in log space and exponentiated once per sample; values below the
 smallest double still underflow to zero.  The 2D oscillator eigenstate
 (nu1, nu2) is the same sum over two unit creators, applied nu1 and nu2 times,
-and both kinds of state are evaluated by one blocked loop.
+and both kinds run one loop, which plans the Wick recursion once per call and
+runs the plan on each block of samples.
 
 All functions here are pure; evaluation can fan out over a shared immutable
 basis and state from any number of workers.
@@ -34,18 +35,14 @@ __all__ = [
 ]
 
 # Samples are evaluated in blocks of about this many coordinates (rows times
-# sites), so each block's temporaries stay in cache and the cost is linear in
-# the sample count.
+# sites).  Each block transforms its own rows and runs the Wick plan on them,
+# so its temporaries stay in cache and the cost is linear in the sample count.
 _BLOCK_ELEMENTS = 1 << 15
-# The coordinate transform runs once per panel of this many blocks (about
-# 2 MB).  A multi-threaded BLAS call can wait milliseconds for its idle worker
-# threads, so fewer calls bound that wait; larger panels raise peak memory.
-_PANEL_BLOCKS = 8
 
 
 def _weighted_terms(state):
     """Creator vectors and (weight, multiplicities) pairs, one per term of the
-    state, which is the sum of weight * psi0 * W(m); see :func:`_wick_power`.
+    state, which is the sum of weight * psi0 * W(m); see :func:`_wick_plan`.
     A FockState gives one unit vector per occupied mode and its amplitudes."""
     if isinstance(state, CreatorState):  # weight = coefficient * sqrt(prod_j m_j!)
         return state.vectors, [(c * math.prod(math.sqrt(t) for m in mult for t in range(2, m + 1)),
@@ -56,30 +53,31 @@ def _weighted_terms(state):
     return unit_rows.astype(float), [(amp, tuple(occ[k] for k in used)) for occ, amp in items]
 
 
-def _wick_power(lin: np.ndarray, gram: np.ndarray, mult: tuple, memo: dict) -> np.ndarray:
-    """Normalized Wick power W(m) = :prod_j L_j^m_j: / sqrt(prod_j m_j!) over the samples.
-
-    ``lin`` holds L_j (one row per creator), ``gram`` the contractions G_ij,
-    ``memo`` values by multiplicities, starting with the empty product.  With
+def _wick_plan(gram: np.ndarray, mults) -> list:
+    """Steps (m, j, n, parts), each after the steps it reads, that form the
+    normalized Wick power W(m) = :prod_j L_j^m_j: / sqrt(prod_j m_j!) of every
+    m in ``mults`` from W(0) = 1 and the contractions G_ij in ``gram``.  With
     n = m - e_j for the last occupied j, W(m) = (L_j W(n) - sum_i sqrt(n_i)
-    G_ij W(n - e_i)) / sqrt(m_j) stays O(1) at any occupation.  It runs on a
-    stack, not by recursion, so a thousand quanta need no deep call stack.
+    G_ij W(n - e_i)) / sqrt(m_j) stays O(1) at any occupation; ``parts`` holds
+    its (factor, n - e_i) pairs.  The walk uses a stack, not recursion, so a
+    thousand quanta need no deep call stack.
     """
-    stack = [mult]
+    done, plan, stack = {(0,) * len(gram)}, [], list(mults)
     while stack:
         m = stack.pop()
-        if m in memo:
+        if m in done:
             continue
         j = max(i for i, k in enumerate(m) if k)
         n = m[:j] + (m[j] - 1,) + m[j + 1 :]
-        parts = [(lin[j], n)] + [(-math.sqrt(n[i]) * gram[i, j], n[:i] + (n[i] - 1,) + n[i + 1 :])
-                                 for i in np.flatnonzero(gram[: j + 1, j]) if n[i]]
-        missing = [r for _, r in parts if r not in memo]
+        parts = [(-math.sqrt(n[i]) * gram[i, j], n[:i] + (n[i] - 1,) + n[i + 1 :])
+                 for i in np.flatnonzero(gram[: j + 1, j]) if n[i]]
+        missing = [r for r in [n] + [r for _, r in parts] if r not in done]
         if missing:
             stack += [m] + missing
             continue
-        memo[m] = sum(f * memo[r] for f, r in parts) / math.sqrt(m[j])
-    return memo[mult]
+        done.add(m)
+        plan.append((m, j, n, parts))
+    return plan
 
 
 def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
@@ -97,7 +95,7 @@ def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
         Wavefunction values; the M=1 row matches :func:`evaluate` on that
         point up to BLAS rounding in the coordinate transform.  Its last bits
         can change with the BLAS build and thread count: with OpenBLAS 0.3.31,
-        1 and 2 threads differ at N = 201 but not at 11, 15, 31, 51, 101, 301.
+        1 and 2 threads differ at N = 201 and 301 but not at 11, 15, 31, 51, 101.
     """
     if state.params != basis.params:
         raise ValueError("state and basis belong to different chains")
@@ -112,32 +110,29 @@ def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
 def _evaluate(vectors, terms, points, scale, transform=None) -> np.ndarray:
     """psi0(y) * sum of weight * W(m) over ``terms`` at each row of ``points``, with
     y = (points @ transform) * scale, or points * scale without a transform.  The
-    arithmetic type, contractions and normalization are formed once per call, y
-    once per panel, and the envelope and Wick sum once per block."""
+    arithmetic type, contractions, normalization and Wick plan are formed once
+    per call; y, the envelope and the Wick sum once per block."""
     weights = [complex(w) for w, _ in terms]
     if not np.iscomplexobj(vectors) and not any(w.imag for w in weights):
         weights = [w.real for w in weights]  # real creators and weights: real arithmetic
     gram = vectors @ vectors.T
+    plan = _wick_plan(gram, [mult for _, mult in terms])
     log_norm = 0.25 * float(np.sum(np.log(scale * scale / np.pi)))
     rows = max(1, _BLOCK_ELEMENTS // len(scale))
-    panel = _PANEL_BLOCKS * rows
     out = np.empty(len(points), dtype=complex)
-    # one buffer for every panel: a fresh 2 MB array per panel costs page faults
-    buf = np.empty((min(panel, len(points)), len(scale)))
-    for first in range(0, len(points), panel):
-        y = buf[: len(points) - first]
+    for start in range(0, len(points), rows):
         if transform is None:  # no product with I, which can turn -0.0 into 0.0
-            np.multiply(points[first : first + panel], scale, out=y)
+            y = points[start : start + rows] * scale
         else:
-            np.matmul(points[first : first + panel], transform, out=y)
+            y = points[start : start + rows] @ transform
             y *= scale
-        for start in range(0, len(y), rows):
-            block = y[start : start + rows]
-            envelope = np.exp(log_norm - 0.5 * np.sum(block * block, axis=1))
-            lin = math.sqrt(2.0) * (vectors @ block.T)  # L_j, one row per creator
-            memo = {(0,) * len(vectors): np.ones(len(block))}  # W by multiplicities
-            out[first + start : first + start + len(block)] = envelope * sum(
-                w * _wick_power(lin, gram, mult, memo) for w, (_, mult) in zip(weights, terms))
+        envelope = np.exp(log_norm - 0.5 * np.sum(y * y, axis=1))
+        lin = math.sqrt(2.0) * (vectors @ y.T)  # L_j, one row per creator
+        memo = {(0,) * len(vectors): np.ones(len(y))}  # W by multiplicities
+        for m, j, n, parts in plan:
+            memo[m] = sum([lin[j] * memo[n]] + [f * memo[r] for f, r in parts]) / math.sqrt(m[j])
+        out[start : start + len(y)] = envelope * sum(
+            w * memo[mult] for w, (_, mult) in zip(weights, terms))
     return out
 
 

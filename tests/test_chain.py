@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qchain import chain, sampling
 from qchain.chain import (
     ChainParams,
     build_coupling_matrix,
@@ -11,6 +12,17 @@ from qchain.chain import (
     mode_spectrum,
     real_mode_basis,
 )
+
+
+def test_mode_basis_beyond_the_cell_bound_is_refused(monkeypatch):
+    # the basis and a draw share one bound: 2^28 cells allow N up to 16383
+    assert sampling._MAX_POINT_CELLS == chain._MAX_POINT_CELLS
+    assert 16383**2 <= chain._MAX_POINT_CELLS < 16385**2
+    monkeypatch.setattr(chain, "_MAX_POINT_CELLS", 49)
+    assert real_mode_basis(ChainParams(n_sites=7)).basis.shape == (7, 7)
+    with pytest.raises(ValueError, match=r"^a mode basis holds at most 49 cells \(N x N\), "
+                                         r"not 9 x 9$"):
+        real_mode_basis(ChainParams(n_sites=9))
 
 
 def test_params_validation():

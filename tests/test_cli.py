@@ -315,6 +315,33 @@ def test_state_dump_beyond_the_expansion_bound_exits_2(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
+def test_state_dump_beyond_the_bound_exits_2_before_any_creation(tmp_path, monkeypatch,
+                                                                  capsys):
+    # b[1] ... b[6] vac at N=31 is refused before b[1] is applied
+    def no_creation(*args):
+        raise AssertionError("created before the expansion could be refused")
+
+    monkeypatch.setattr("qchain.fock.apply_creator", no_creation)
+    monkeypatch.setattr("qchain.cli.sample_chain_state", _no_sampling)
+    code = main(["--n", "31", "--state", "b[1] b[2] b[3] b[4] b[5] b[6] vac",
+                 "--out", str(tmp_path / "x.svg"), "--dump-state", str(tmp_path / "x.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == ("qchain: numeric error: expanding 324632 occupation terms "
+                                       "over 31 modes exceeds the bound of 2000000 term-mode "
+                                       "pairs\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mode_basis_beyond_the_cell_bound_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("qchain.chain._MAX_POINT_CELLS", 24)
+    monkeypatch.setattr("qchain.cli.sample_chain_state", _no_sampling)
+    code = main(["--n", "5", "--state", "vac", "--out", str(tmp_path / "x.svg")])
+    assert code == 1
+    assert capsys.readouterr().err == ("qchain: error: a mode basis holds at most 24 cells "
+                                       "(N x N), not 5 x 5\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_numeric_error_is_one_line(tmp_path, capsys):
     # squaring coordinates near 1e200 overflows: the run reports its failure
     # itself, without numpy's warning, and leaves numpy's settings as they were

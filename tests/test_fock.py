@@ -5,13 +5,14 @@ import pytest
 
 from qchain import fock
 from qchain.chain import ChainParams, mode_profile, real_mode_basis
-from qchain.expr import evaluate_expr, parse_state_expr
+from qchain.expr import build_state, evaluate_expr, parse_state_expr
 from qchain.fock import (
     apply_create,
     apply_create_local,
     apply_creator,
     dump_state,
     energy_eigenvalue,
+    expand_state,
     inner_product,
     linear_combine,
     norm,
@@ -122,6 +123,48 @@ def test_expansion_beyond_the_bound_is_refused(monkeypatch):
         apply_create_local(one, 2)
     with pytest.raises(ValueError, match=refused):
         evaluate_expr(parse_state_expr("b[2] b[1] vac", 5), p5)
+
+
+def _counting_creations(monkeypatch):
+    """Replace fock.apply_creator by one that counts its calls and creates nothing."""
+    calls = []
+
+    def counting(state, vector):
+        calls.append(vector)
+        return state
+
+    monkeypatch.setattr(fock, "apply_creator", counting)
+    return calls
+
+
+def test_state_expansion_is_bounded_before_the_first_creation(monkeypatch):
+    # b[1] b[2] b[3] vac at N=5: the creations fan out 1 x 5, then at most
+    # min(5, C(5, 1)) = 5 terms x 5 and min(25, C(6, 2)) = 15 terms x 5 modes
+    p5 = ChainParams(n_sites=5)
+    state = build_state("b[1] b[2] b[3] vac", p5)[0]
+    monkeypatch.setattr(fock, "_MAX_EXPANSION", 75)
+    assert len(expand_state(build_state("b[1] b[2] vac", p5)[0]).terms) == 15
+    assert len(expand_state(state).terms) == 35
+    monkeypatch.setattr(fock, "_MAX_EXPANSION", 74)
+    calls = _counting_creations(monkeypatch)
+    with pytest.raises(ValueError, match="^expanding 15 occupation terms over 5 modes exceeds "
+                                         "the bound of 74 term-mode pairs$"):
+        expand_state(state)
+    assert calls == []
+
+
+def test_state_expansion_at_n31_is_refused_at_once(monkeypatch):
+    # b[1] ... b[5] vac passes the check (46 376 terms x 31 modes at most before
+    # b[5]); b[1] ... b[6] vac could reach 324 632 terms x 31 before b[6]
+    p31 = ChainParams(n_sites=31)
+    calls = _counting_creations(monkeypatch)
+    expand_state(build_state("b[1] b[2] b[3] b[4] b[5] vac", p31)[0])
+    assert len(calls) == 5
+    calls.clear()
+    with pytest.raises(ValueError, match="^expanding 324632 occupation terms over 31 modes "
+                                         "exceeds the bound of 2000000 term-mode pairs$"):
+        expand_state(build_state("b[1] b[2] b[3] b[4] b[5] b[6] vac", p31)[0])
+    assert calls == []
 
 
 def test_linear_combine_and_exact_cancellation():

@@ -20,8 +20,10 @@ from qchain.fock import (
     vacuum,
 )
 from qchain.sampling import RenderSpec, chain_window, draw_samples
+from qchain import wavefunction
 from qchain.wavefunction import (
-    _wick_power,
+    _evaluate,
+    _wick_plan,
     evaluate,
     evaluate_batch,
     evaluate_oscillator2d,
@@ -373,15 +375,38 @@ def test_wick_matches_per_term_reference_on_random_states(case, seed):
 
 
 def test_repeated_creator_memo_stays_linear():
-    # a[0] applied p times: the memo holds multiplicities 0..p only, and the
+    # a[0] applied p times: the plan forms multiplicities 1..p only, and the
     # normalized Wick power of L = sqrt(2) y with contraction 1 is
-    # H_p(y) / sqrt(2^p p!)
+    # H_p(y) / sqrt(2^p p!), the p-th 1D eigenfunction with psi0
+    plan = _wick_plan(np.ones((1, 1)), [(12,)])
+    assert [m for m, *_ in plan] == [(p,) for p in range(1, 13)]
     y = np.linspace(-3.0, 3.0, 41)
-    memo = {(0,): np.ones_like(y)}
-    got = _wick_power(math.sqrt(2.0) * y[None, :], np.ones((1, 1)), (12,), memo)
-    assert len(memo) == 13
-    ref = eval_hermite(12, y) / math.sqrt(2.0**12 * math.factorial(12))
+    got = _evaluate(np.ones((1, 1)), [(1.0, (12,))], y[:, None], np.ones(1))
+    ref = _phi(12, 1.0, y)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_wick_plan_runs_once_per_call_spanning_blocks(monkeypatch):
+    params = ChainParams(n_sites=301)
+    basis = real_mode_basis(params)
+    state = creator_state(parse_state_expr("a[1] b[7] b[7] vac + b[9] vac", 301), params)
+    pts = np.random.default_rng(3).uniform(-0.5, 0.5, size=(250, 301))  # 3 blocks at N=301
+    calls = []
+
+    def counting(gram, mults):
+        calls.append(mults)
+        return _wick_plan(gram, mults)
+
+    monkeypatch.setattr(wavefunction, "_wick_plan", counting)
+    assert evaluate_batch(state, basis, pts).shape == (250,)
+    assert calls == [[(1, 2, 0), (0, 0, 1)]]
+
+
+def test_dense_contractions_match_reference_spanning_blocks():
+    # every pair of (a[0] + a[i]) contracts to exactly 1, so the plan reads
+    # every lower multiplicity; 5000 samples are 3 blocks at N=15
+    src = " ".join(f"(a[0] + a[{i}])" for i in range(1, 7)) + " vac"
+    assert _matches_reference(src, 15, 5000, seed=4)
 
 
 @pytest.mark.parametrize("nu", [170, 200, 400])
