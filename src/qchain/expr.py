@@ -217,18 +217,19 @@ class _Parser:
 
 
 # --- walking the AST --------------------------------------------------------
-# The walk gives (kind, value): a scalar is a complex number; an operator or a
-# state is a polynomial {creators: coefficient}, a state's applied to vac from
-# the right.  A creator is the complex bytes of its mode-space vector, so
-# creators with bit-identical vectors are one; a sum of single creators is one
-# creator, the sum of coefficient times vector.
+# The walk gives (kind, value), every value a polynomial {creators: coefficient}
+# with no zero coefficient: a scalar c is {(): c}, a state's creators apply to
+# vac from the right, and kinds only reject ill-typed sums and products.  A
+# creator is the complex bytes of its mode-space vector, so creators with bit-
+# identical vectors are one; a sum of single creators is one creator, the sum of
+# coefficient times vector.
 
 _SCALAR, _OP, _STATE = "a scalar", "an operator", "a state"
 
 
 def _walk(node, params: ChainParams):
     if isinstance(node, Scalar):
-        return _SCALAR, node.value
+        return _SCALAR, {(): node.value}
     if isinstance(node, Create):
         try:
             vector = creator_vector(params.n_sites, node.kind, node.index)
@@ -259,13 +260,8 @@ def _walk(node, params: ChainParams):
                 raise StateExprError("a state can only stand last in a product", factor.pos)
         kind, acc = walked[-1]
         for factor, (fkind, fval) in zip(node.factors[-2::-1], walked[-2::-1]):
-            if kind == _SCALAR:
-                kind, acc = fkind, (fval * acc if fkind == _SCALAR else
-                                    {m: c * acc for m, c in fval.items()})
-            elif fkind == _SCALAR:
-                acc = {m: fval * c for m, c in acc.items()}
-            else:
-                acc = _poly_product(fval.items(), acc.items())
+            kind = fkind if kind == _SCALAR else kind
+            acc = _poly_product(fval.items(), acc.items())
             if not _finite(acc):
                 raise StateExprError(_NOT_FINITE, factor.pos)
         return kind, acc
@@ -276,8 +272,6 @@ def _walk(node, params: ChainParams):
 def _sum(kind, terms, values):
     """The sum of the walked ``values`` of ``terms``, all of one kind, like terms
     merged; a sum of single creators is one, raising where its vector overflows."""
-    if kind == _SCALAR:
-        return sum(values)
     monos = [(m, c) for poly in values for m, c in poly.items()]
     if not (kind == _OP and monos and all(len(m) == 1 for m, _ in monos)):
         return _poly_product([((), 1.0)], monos)
@@ -290,9 +284,9 @@ def _sum(kind, terms, values):
     return {(vector.tobytes(),): 1.0}
 
 
-def _finite(value) -> bool:
-    """Whether a walked scalar or every coefficient of a polynomial is finite."""
-    return bool(np.isfinite(list(value.values()) if isinstance(value, dict) else value).all())
+def _finite(poly) -> bool:
+    """Whether every coefficient of a walked polynomial is finite."""
+    return bool(np.isfinite(list(poly.values())).all())
 
 
 def _poly_product(left, right) -> dict:

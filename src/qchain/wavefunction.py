@@ -11,8 +11,9 @@ FockState term |nu> is that quotient for unit vectors.  The vacuum psi0 is
 summed in log space and exponentiated once per sample; values below the
 smallest double still underflow to zero.  The 2D oscillator eigenstate
 (nu1, nu2) is the same sum over two unit creators, applied nu1 and nu2 times,
-and both kinds run one loop, which plans the Wick recursion once per call and
-runs the plan on each block of samples.
+with the identity as its coordinate transform.  Both kinds run one loop, which
+checks the points' shape, plans the Wick recursion once per call and forms
+y = (points @ transform) * scale and the Wick sum on each block of samples.
 
 All functions here are pure; evaluation can fan out over a shared immutable
 basis and state from any number of workers.
@@ -99,19 +100,18 @@ def evaluate_batch(state, basis: ModeBasis, points) -> np.ndarray:
     """
     if state.params != basis.params:
         raise ValueError("state and basis belong to different chains")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = basis.params.n_sites
-    if points.ndim != 2 or points.shape[1] != n:
-        raise ValueError(f"expected points of shape (M, {n}), got {points.shape}")
     scale = np.sqrt(basis.params.mass * basis.frequencies)
     return _evaluate(*_weighted_terms(state), points, scale, basis.basis)
 
 
-def _evaluate(vectors, terms, points, scale, transform=None) -> np.ndarray:
+def _evaluate(vectors, terms, points, scale, transform) -> np.ndarray:
     """psi0(y) * sum of weight * W(m) over ``terms`` at each row of ``points``, with
-    y = (points @ transform) * scale, or points * scale without a transform.  The
-    arithmetic type, contractions, normalization and Wick plan are formed once
-    per call; y, the envelope and the Wick sum once per block."""
+    y = (points @ transform) * scale.  The point check, arithmetic type,
+    contractions, normalization and Wick plan are done once per call; y, the
+    envelope and the Wick sum once per block."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != len(transform):
+        raise ValueError(f"expected points of shape (M, {len(transform)}), got {points.shape}")
     weights = [complex(w) for w, _ in terms]
     if not np.iscomplexobj(vectors) and not any(w.imag for w in weights):
         weights = [w.real for w in weights]  # real creators and weights: real arithmetic
@@ -121,11 +121,8 @@ def _evaluate(vectors, terms, points, scale, transform=None) -> np.ndarray:
     rows = max(1, _BLOCK_ELEMENTS // len(scale))
     out = np.empty(len(points), dtype=complex)
     for start in range(0, len(points), rows):
-        if transform is None:  # no product with I, which can turn -0.0 into 0.0
-            y = points[start : start + rows] * scale
-        else:
-            y = points[start : start + rows] @ transform
-            y *= scale
+        y = points[start : start + rows] @ transform
+        y *= scale
         envelope = np.exp(log_norm - 0.5 * np.sum(y * y, axis=1))
         lin = math.sqrt(2.0) * (vectors @ y.T)  # L_j, one row per creator
         memo = {(0,) * len(vectors): np.ones(len(y))}  # W by multiplicities
@@ -164,11 +161,8 @@ def evaluate_oscillator2d(nu1: int, nu2: int, mass: float, kappa: float, points)
     nu1 and nu2 times.
     """
     omega_ang = _oscillator2d_frequency(nu1, nu2, mass, kappa)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"expected points of shape (M, 2), got {points.shape}")
     scale = np.full(2, math.sqrt(mass * omega_ang))
-    return _evaluate(np.eye(2), [(1.0, (nu1, nu2))], points, scale)
+    return _evaluate(np.eye(2), [(1.0, (nu1, nu2))], points, scale, np.eye(2))
 
 
 def hamiltonian_residual(state: CreatorState | FockState, basis: ModeBasis, q,

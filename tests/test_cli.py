@@ -413,6 +413,15 @@ def test_all_zero_batch_exits_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no figure, no table, no state dump
 
 
+def test_zero_scalar_state_exits_2(tmp_path, capsys):
+    code = main(["--n", "5", "--state", "0 vac", "--out", str(tmp_path / "zero.svg"),
+                 "--dump-samples", str(tmp_path / "zero.csv"),
+                 "--dump-state", str(tmp_path / "zero.txt")])
+    assert code == 2
+    assert "numeric error: every sampled wavefunction value is zero" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_long_product_of_operator_sums(tmp_path):
     src = " ".join(["(a[1] a[2] + a[-1])"] * 20) + " vac"
     table = tmp_path / "t.csv"

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchain import expr
-from qchain.chain import ChainParams
+from qchain.chain import ChainParams, real_mode_basis
 from qchain.expr import (
     Create,
     Product,
@@ -19,7 +20,16 @@ from qchain.expr import (
     parse_state_expr,
     pretty,
 )
-from qchain.fock import apply_create, apply_create_local, linear_combine, norm, vacuum
+from qchain.fock import (
+    apply_create,
+    apply_create_local,
+    dump_state,
+    expand_state,
+    linear_combine,
+    norm,
+    vacuum,
+)
+from qchain.wavefunction import evaluate_batch
 
 
 def test_parse_simple_forms():
@@ -211,6 +221,18 @@ def test_evaluate_superposition_and_scalars():
     # a sum of operators that each cancel to nothing is the zero operator
     zero = parse_state_expr("((a[1] a[0] - a[0] a[1]) + (a[1] a[0] - a[0] a[1])) vac", 5)
     assert evaluate_expr(zero, p).terms == {}
+
+
+@pytest.mark.parametrize("src", ["0 vac", "1e-300 1e-300 vac", "(1 - 1) vac"])
+def test_zero_scalar_product_drops_its_monomial(src):
+    # a scalar walks as the polynomial {(): c}, so a zero coefficient, written
+    # or underflowed, drops its monomial as an operator product's does
+    p = ChainParams(n_sites=5)
+    state, _ = build_state(src, p)
+    assert state.monomials == ()
+    vals = evaluate_batch(state, real_mode_basis(p), np.ones((3, 5)))
+    assert np.array_equal(vals, np.zeros(3, dtype=complex))
+    assert dump_state(expand_state(state)) == ""
 
 
 def test_operator_sum_distributes_like_state_sum():

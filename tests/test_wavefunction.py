@@ -215,6 +215,38 @@ def test_oscillator2d_values():
         evaluate_oscillator2d(0, 0, 1.0, math.inf, pts)
 
 
+@pytest.mark.parametrize("nu", [(1, 0), (2, 1), (7, 5)])
+def test_oscillator2d_values_ignore_the_sign_of_zero(nu):
+    # the identity transform can turn -0.0 into 0.0 in y, but every Wick step
+    # and the term sum start from Python's sum at 0, so no value sees the sign;
+    # 40 000 rows are 3 blocks
+    pts = np.random.default_rng(9).uniform(-3.0, 3.0, size=(40_000, 2))
+    pts[::3, 0] = 0.0
+    pts[1::4, 1] = 0.0
+    flipped = np.where(pts == 0.0, -0.0, pts)
+    vals = evaluate_oscillator2d(*nu, MASS, KAPPA, pts)
+    assert vals.tobytes() == evaluate_oscillator2d(*nu, MASS, KAPPA, flipped).tobytes()
+    at_node = np.any((pts == 0.0) & (np.array(nu) % 2 == 1), axis=1)  # odd order, zero coordinate
+    assert at_node.any()
+    assert vals[at_node].tobytes() == np.zeros(at_node.sum(), dtype=complex).tobytes()
+
+
+def test_points_shape_is_checked_before_planning(monkeypatch):
+    def unreachable(gram, mults):
+        raise AssertionError("planned before the point check")
+
+    monkeypatch.setattr(wavefunction, "_wick_plan", unreachable)
+    params = ChainParams(n_sites=5)
+    basis = real_mode_basis(params)
+    state = build_state("a[1] vac", params)[0]
+    for bad in (np.zeros((3, 4)), np.zeros((2, 3, 5))):
+        with pytest.raises(ValueError, match=r"^expected points of shape \(M, 5\), got "):
+            evaluate_batch(state, basis, bad)
+    for bad in (np.zeros((3, 3)), np.zeros(3), np.zeros((2, 3, 2))):
+        with pytest.raises(ValueError, match=r"^expected points of shape \(M, 2\), got "):
+            evaluate_oscillator2d(2, 1, MASS, KAPPA, bad)
+
+
 def test_empty_state_evaluates_to_zero():
     params = ChainParams(n_sites=3)
     basis = real_mode_basis(params)
@@ -381,7 +413,7 @@ def test_repeated_creator_memo_stays_linear():
     plan = _wick_plan(np.ones((1, 1)), [(12,)])
     assert [m for m, *_ in plan] == [(p,) for p in range(1, 13)]
     y = np.linspace(-3.0, 3.0, 41)
-    got = _evaluate(np.ones((1, 1)), [(1.0, (12,))], y[:, None], np.ones(1))
+    got = _evaluate(np.ones((1, 1)), [(1.0, (12,))], y[:, None], np.ones(1), np.ones((1, 1)))
     ref = _phi(12, 1.0, y)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
