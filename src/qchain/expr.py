@@ -11,18 +11,21 @@ Grammar (whitespace-insensitive)::
 ``vac`` is the ground state, ``a[k]`` raises the occupation of wave-number
 mode k, ``b[n]`` creates an excitation localized at the 1-based site n, and
 scalars (real or imaginary literals) scale whatever follows.  Parenthesized
-sums of operators distribute over application, so ``(a[1] + i a[-1]) vac``
-is the superposition with coefficients 1 and i.  Every product must
-ultimately apply its operators to ``vac``.
+sums of operators distribute over application.  Every product must
+ultimately apply its operators to ``vac``.  A sum of operators or of states
+merges like terms, dropping those that cancel; two or more single creators
+left are one, the sum of coefficient times vector.  So a state has one form
+however it is spelled: ``0.5 b[3] vac - 0.5 b[8] vac`` is
+``(0.5 b[3] - 0.5 b[8]) vac``.
 
 Parsing reports syntax errors, parentheses nested more than 100 deep,
 out-of-range indices, type errors (for instance adding a scalar to a state)
-and coefficients that are not finite (a literal, or a product or sum that
-overflows, or a sum of creators whose vector overflows) with a character
-position.  One walk of the tree forms each creator's vector, from
-:func:`~qchain.chain.creator_vector`, and gives :func:`creator_state`, a
-:class:`~qchain.fock.CreatorState`; :func:`build_state` tokenizes and walks
-its source once, so it rejects exactly what :func:`parse_state_expr` does.
+and coefficients that are not finite (a literal, a product, or a sum at the
+first term whose partial sum or merged creator vector overflows; a sum that
+cancels back into range builds) with a character position.  One walk forms
+each creator's vector from :func:`~qchain.chain.creator_vector` and gives
+:func:`creator_state`, a :class:`~qchain.fock.CreatorState`; :func:`build_state`
+tokenizes and walks its source once, so it rejects what :func:`parse_state_expr` does.
 """
 
 from __future__ import annotations
@@ -221,8 +224,9 @@ class _Parser:
 # with no zero coefficient: a scalar c is {(): c}, a state's creators apply to
 # vac from the right, and kinds only reject ill-typed sums and products.  A
 # creator is the complex bytes of its mode-space vector, so creators with bit-
-# identical vectors are one; a sum of single creators is one creator, the sum of
-# coefficient times vector.
+# identical vectors are one.  A sum decides on its merged polynomial, whatever
+# its kind: two or more single creators left are one, the sum of coefficient
+# times vector, so equal sums give equal values however they are spelled.
 
 _SCALAR, _OP, _STATE = "a scalar", "an operator", "a state"
 
@@ -246,10 +250,9 @@ def _walk(node, params: ChainParams):
             if k != kind:
                 raise StateExprError(f"cannot add {k} to {kind}", t.pos)
             values.append(value)
-        total = _sum(kind, node.terms, values)
-        if not _finite(total):  # a running sum that overflows stays non-finite
-            k = next(k for k in range(len(values))
-                     if not _finite(_sum(kind, node.terms, values[: k + 1])))
+        total = _sum(values)
+        if not _finite(total):  # reported at the first term whose prefix sum is not finite
+            k = next(k for k in range(len(values)) if not _finite(_sum(values[: k + 1])))
             raise StateExprError(_NOT_FINITE, node.terms[k].pos)
         return kind, total
     if isinstance(node, Product):
@@ -268,20 +271,14 @@ def _walk(node, params: ChainParams):
     raise TypeError(f"unknown node {node!r}")
 
 
-@np.errstate(all="ignore")  # an overflowing creator vector raises below
-def _sum(kind, terms, values):
-    """The sum of the walked ``values`` of ``terms``, all of one kind, like terms
-    merged; a sum of single creators is one, raising where its vector overflows."""
-    monos = [(m, c) for poly in values for m, c in poly.items()]
-    if not (kind == _OP and monos and all(len(m) == 1 for m, _ in monos)):
-        return _poly_product([((), 1.0)], monos)
-    vector = 0
-    for term, poly in zip(terms, values):
-        for (creator,), c in poly.items():
-            vector = vector + c * np.frombuffer(creator, complex)
-        if not np.isfinite(vector).all():
-            raise StateExprError(_NOT_FINITE, term.pos)
-    return {(vector.tobytes(),): 1.0}
+@np.errstate(all="ignore")  # an overflowing vector gives a non-finite coefficient
+def _sum(values):
+    """Walked ``values`` summed, like terms merged; two or more single creators left are one."""
+    total = _poly_product([((), 1.0)], [(m, c) for poly in values for m, c in poly.items()])
+    if len(total) < 2 or any(len(m) != 1 for m in total):
+        return total
+    vector = sum(c * np.frombuffer(k, complex) for (k,), c in total.items())
+    return {(vector.tobytes(),): 1.0 if np.isfinite(vector).all() else math.inf}
 
 
 def _finite(poly) -> bool:
@@ -357,9 +354,9 @@ def _pretty_factor(node) -> str:
 
 
 def _negated_head(term):
-    """If the term starts with a negative scalar, return (positive_term, True)."""
+    """If the term starts with a scalar printed with '-', return (positive_term, True)."""
     if isinstance(term, Scalar):
-        neg = term.value.real < 0 or (term.value.real == 0 and term.value.imag < 0)
+        neg = _fmt_scalar(term.value).startswith("-")
         return (Scalar(-term.value, pos=term.pos), True) if neg else (term, False)
     if isinstance(term, Product) and isinstance(term.factors[0], Scalar):
         head, flipped = _negated_head(term.factors[0])

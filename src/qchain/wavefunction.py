@@ -12,8 +12,8 @@ summed in log space and exponentiated once per sample; values below the
 smallest double still underflow to zero.  The 2D oscillator eigenstate
 (nu1, nu2) is the same sum over two unit creators, applied nu1 and nu2 times,
 with the identity as its coordinate transform.  Both kinds run one loop, which
-checks the points' shape, plans the Wick recursion once per call and forms
-y = (points @ transform) * scale and the Wick sum on each block of samples.
+checks the points (shape, finiteness), plans the Wick recursion once per call
+and forms y = (points @ transform) * scale and the Wick sum per sample block.
 
 All functions here are pure; evaluation can fan out over a shared immutable
 basis and state from any number of workers.
@@ -112,6 +112,8 @@ def _evaluate(vectors, terms, points, scale, transform) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != len(transform):
         raise ValueError(f"expected points of shape (M, {len(transform)}), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must have finite coordinates")
     weights = [complex(w) for w, _ in terms]
     if not np.iscomplexobj(vectors) and not any(w.imag for w in weights):
         weights = [w.real for w in weights]  # real creators and weights: real arithmetic

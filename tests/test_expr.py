@@ -156,6 +156,9 @@ def test_pretty_round_trip_examples():
         "a[+1] vac",
         "(1 + 2) vac",
         "-i vac",
+        "vac - 0 vac",
+        "vac - 0i vac",
+        "vac - 1e-400 vac",
     ]:
         ast = parse_state_expr(src, 9)
         assert parse_state_expr(pretty(ast), 9) == ast
@@ -167,6 +170,7 @@ def test_pretty_round_trip_examples():
 
 _SCALARS = st.one_of(
     st.just("i"),
+    st.just("0"),
     st.floats(min_value=0.01, max_value=50, allow_nan=False).map(lambda v: f"{v:.3g}"),
     st.floats(min_value=0.01, max_value=50, allow_nan=False).map(lambda v: f"{v:.3g}i"),
 )
@@ -243,6 +247,35 @@ def test_operator_sum_distributes_like_state_sum():
     assert set(lhs.terms) == set(rhs.terms)
     for occ, amp in lhs.terms.items():
         assert amp == pytest.approx(rhs.terms[occ], rel=1e-14)
+
+
+@pytest.mark.parametrize("n_sites, src, same", [
+    (5, "(a[1] b[1] - a[1] b[1] + a[0] + b[2]) vac", "(a[0] + b[2]) vac"),
+    (5, "(a[0] + b[2] + a[1] - a[1]) vac", "(a[0] + b[2]) vac"),
+    (5, "a[0] vac + b[2] vac", "(a[0] + b[2]) vac"),
+    (11, "0.5 b[3] vac - 0.5 b[8] vac", "(0.5 b[3] - 0.5 b[8]) vac"),
+    (5, "(a[1] - a[1]) vac", "0 a[1] vac"),
+    (5, "(a[1] + a[1]) vac", "2 a[1] vac"),
+    (5, "(0.5 a[2] + a[1] b[1] - a[1] b[1]) vac", "(0.5 a[2]) vac"),  # one monomial: not folded
+])
+def test_a_sum_merges_on_its_merged_polynomial(n_sites, src, same):
+    # like terms cancel before the sum decides whether its creators are one,
+    # whatever the sum's kind, so the spelling does not change the state
+    params = ChainParams(n_sites=n_sites)
+    basis = real_mode_basis(params)
+    state, want = build_state(src, params)[0], build_state(same, params)[0]
+    assert state == want
+    points = np.random.default_rng(2).normal(0.0, 0.7, size=(50, n_sites))
+    assert evaluate_batch(state, basis, points).tobytes() == evaluate_batch(
+        want, basis, points).tobytes()
+
+
+def test_a_sum_is_refused_only_where_its_merged_partial_sum_overflows():
+    p3 = ChainParams(n_sites=3)
+    with pytest.raises(StateExprError, match=r"not all finite \(position 16\)$"):
+        build_state("(1.5e308 a[1] + 1.5e308 b[1]) vac", p3)  # the merged vector overflows
+    cancelled = build_state("(1.5e308 a[1] + 1.5e308 b[1] - 1.5e308 b[1]) vac", p3)[0]
+    assert cancelled == build_state("1.5e308 a[1] vac", p3)[0]
 
 
 def test_build_state_returns_canonical_label(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +246,13 @@ def test_points_shape_is_checked_before_planning(monkeypatch):
     for bad in (np.zeros((3, 3)), np.zeros(3), np.zeros((2, 3, 2))):
         with pytest.raises(ValueError, match=r"^expected points of shape \(M, 2\), got "):
             evaluate_oscillator2d(2, 1, MASS, KAPPA, bad)
+    for bad in (np.inf, -np.inf, np.nan):
+        pts = np.zeros((2, 5))
+        pts[1, 3] = bad
+        with pytest.raises(ValueError, match=r"^points must have finite coordinates$"):
+            evaluate_batch(state, basis, pts)
+        with pytest.raises(ValueError, match=r"^points must have finite coordinates$"):
+            evaluate_oscillator2d(2, 1, MASS, KAPPA, [[0.5, 0.5], [bad, 0.5]])
 
 
 def test_empty_state_evaluates_to_zero():
@@ -378,7 +386,10 @@ def test_wick_matches_per_term_reference_on_many_term_states(n_sites, src):
 
 
 @st.composite
-def _creator_sums(draw, n_sites):
+def _creator_sums(draw, n_sites, state=True):
+    """A sum of one to three terms, each a coefficient and up to three factors, a
+    creator or a parenthesized sum of two or three; a state's terms end in vac,
+    and an operator sum's have at least one factor."""
     h = (n_sites - 1) // 2
     ops = st.one_of(st.integers(-h, h).map(lambda k: f"a[{k}]"),
                     st.integers(1, n_sites).map(lambda n: f"b[{n}]"))
@@ -392,7 +403,8 @@ def _creator_sums(draw, n_sites):
         return "(" + "".join(t if i == 0 else draw(sign) + t for i, t in enumerate(terms)) + ")"
 
     def term():
-        return draw(coef) + " ".join([factor() for _ in range(draw(st.integers(0, 3)))] + ["vac"])
+        factors = [factor() for _ in range(draw(st.integers(0 if state else 1, 3)))]
+        return draw(coef) + " ".join(factors + ["vac"] if state else factors)
 
     terms = [term() for _ in range(draw(st.integers(1, 3)))]
     return "".join(t if i == 0 else draw(sign) + t for i, t in enumerate(terms))
@@ -404,6 +416,94 @@ def _creator_sums(draw, n_sites):
 def test_wick_matches_per_term_reference_on_random_states(case, seed):
     n_sites, src = case
     assume(_matches_reference(src, n_sites, 64, seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5, 11]).flatmap(lambda n: st.tuples(
+           st.just(n), _creator_sums(n, state=False), _creator_sums(n, state=False),
+           _creator_sums(n), _creator_sums(n))),
+       st.sampled_from(["vac", "a[0] vac", "b[1] b[1] vac"]))
+def test_a_sum_and_its_cancelled_spelling_build_one_state(case, rest):
+    # like terms cancel before a sum decides whether its creators are one, so
+    # adding and subtracting a sum changes neither the state nor a bit of psi
+    n_sites, p, q, x, y = case
+    params = ChainParams(n_sites=n_sites)
+    basis = real_mode_basis(params)
+    points = np.random.default_rng(1).normal(0.0, 0.7, size=(64, n_sites))
+    for spelled, plain in ((f"({p} + ({q}) - ({q})) {rest}", f"({p}) {rest}"),
+                           (f"{x} + ({y}) - ({y})", x)):
+        state, want = build_state(spelled, params)[0], build_state(plain, params)[0]
+        assert state == want, spelled
+        assert evaluate_batch(state, basis, points).tobytes() == evaluate_batch(
+            want, basis, points).tobytes(), spelled
+
+
+# --- ring symmetries: the chain is a ring of identical sites, so rolling the
+# sites (translation) and mirroring them about site N (reflection) map every
+# state onto another one that the expression names exactly
+
+
+def _translated(src, n_sites, s):
+    """``src`` with psi(np.roll(q, s, axis=1)) as its psi(q): b[n] -> b[n - s], sites
+    mod N in 1..N, and a[k] -> cos(phi) a[k] + sin(phi) a[-k] with phi = 2 pi k s / N."""
+    def wave(match):
+        k = int(match.group(1))
+        phi = 2.0 * math.pi * (k * s % n_sites) / n_sites
+        c, si = math.cos(phi), math.sin(phi)
+        return f"({c!r} a[{k}] {'-' if si < 0 else '+'} {abs(si)!r} a[{-k}])"
+
+    src = re.sub(r"b\[(\d+)\]", lambda m: f"b[{(int(m[1]) - s - 1) % n_sites + 1}]", src)
+    return re.sub(r"a\[(-?\d+)\]", wave, src)
+
+
+def _reflected(src, n_sites):
+    """``src`` with psi(q[:, _mirror(N)]) as its psi(q): a[k] -> a[-k], b[n] -> b[N - n]
+    and b[N] fixed."""
+    src = re.sub(r"a\[(-?\d+)\]", lambda m: f"a[{-int(m[1])}]", src)
+    return re.sub(r"b\[(\d+)\]", lambda m: f"b[{(-int(m[1]) - 1) % n_sites + 1}]", src)
+
+
+def _mirror(n_sites):
+    """Column order of R q, with R the site map j <-> N - j (site N fixed)."""
+    return (n_sites - 2 - np.arange(n_sites)) % n_sites
+
+
+def _ring_image_matches(basis, src, moved_points, image):
+    """Whether psi of ``src`` at the moved points equals psi of ``image`` at the
+    points, 200 Gaussian draws (sd 0.7), within 64 N eps of the batch max; None
+    if ``image`` nearly cancels, so that its batch max is rounding noise."""
+    params, n_sites = basis.params, basis.params.n_sites
+    points = np.random.default_rng(7).normal(0.0, 0.7, size=(200, n_sites))
+    want = evaluate_batch(build_state(image, params)[0], basis, points)
+    got = evaluate_batch(build_state(src, params)[0], basis, moved_points(points))
+    vmax = float(np.max(np.abs(want)))
+    if not vmax > 1e-6 * float(np.max(np.abs(evaluate_batch(vacuum(params), basis, points)))):
+        return None
+    return float(np.max(np.abs(got - want))) <= 64 * n_sites * np.finfo(float).eps * vmax
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([5, 31, 301]).flatmap(lambda n: st.tuples(
+    st.just(n), _creator_sums(n), st.integers(1, n - 1))))
+def test_ring_translation_and_reflection_on_random_states(case):
+    n_sites, src, s = case
+    basis = real_mode_basis(ChainParams(n_sites=n_sites))
+    rolled = _ring_image_matches(basis, src, lambda q: np.roll(q, s, axis=1),
+                                 _translated(src, n_sites, s))
+    assume(rolled is not None)
+    assert rolled, (src, s)
+    assert _ring_image_matches(basis, src, lambda q: q[:, _mirror(n_sites)],
+                               _reflected(src, n_sites)), src
+
+
+@pytest.mark.parametrize("src", ["vac", "b[1] b[2] b[2] vac + 0.5i b[3] vac",
+                                 "a[2] a[2] a[-1] vac", "(a[500] + i b[1001]) a[-3] vac"])
+def test_ring_translation_and_reflection_at_n1001(src):
+    basis = real_mode_basis(ChainParams(n_sites=1001))
+    for s in (1, -1, 3, 7):
+        assert _ring_image_matches(basis, src, lambda q: np.roll(q, s, axis=1),
+                                   _translated(src, 1001, s))
+    assert _ring_image_matches(basis, src, lambda q: q[:, _mirror(1001)], _reflected(src, 1001))
 
 
 def test_repeated_creator_memo_stays_linear():
