@@ -6,9 +6,7 @@
 # there.  Everywhere else the color tracks the local displacement, with the
 # sign pattern of the mode profile.
 
-import numpy as np
-
-from qchain import ChainParams, RenderSpec, build_state, chain_window, mode_profile
+from qchain import ChainParams, RenderSpec, build_state, chain_window
 from qchain import real_mode_basis, render_parallel_axes, sample_chain_state
 
 params = ChainParams(n_sites=15)
@@ -20,7 +18,7 @@ batch = sample_chain_state(state, basis, spec, state_label=label)
 with open("standing_wave.svg", "w") as fh:
     fh.write(render_parallel_axes(batch))
 
-profile = np.array([mode_profile(15, site)[7 + 1] for site in range(1, 16)])
+profile = basis.basis[:, 7 + 1]  # the k = 1 column: the mode over sites 1..15
 quiet = [site for site in range(1, 15) if profile[site - 1] * profile[site] < 0]
 print("k=1 mode profile by site:")
 print("  " + "  ".join(f"{v:+.3f}" for v in profile))

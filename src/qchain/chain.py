@@ -35,7 +35,6 @@ __all__ = [
     "ChainParams",
     "ModeBasis",
     "mode_indices",
-    "mode_profile",
     "creator_vector",
     "build_coupling_matrix",
     "mode_spectrum",
@@ -121,15 +120,6 @@ def mode_indices(params: ChainParams) -> np.ndarray:
     return np.arange(-h, h + 1)
 
 
-def mode_profile(n_sites: int, site: int) -> np.ndarray:
-    """Values of every real mode at one 1-based site, ordered by wave number.
-
-    This is a row of the mode basis matrix, and the creator vector of
-    ``b[site]``.  It depends only on the site count, not on mass or stiffness.
-    """
-    return creator_vector(n_sites, "b", site)
-
-
 def creator_vector(n_sites: int, kind: str, index: int) -> np.ndarray:
     """Mode-space vector of ``a[index]`` (kind "a"), the unit vector of that wave
     number, or of ``b[index]`` (kind "b"), the mode profile at that 1-based site.
@@ -185,7 +175,7 @@ def real_mode_basis(params: ChainParams) -> ModeBasis:
     if n * n > _MAX_POINT_CELLS:
         raise ValueError(f"a mode basis holds at most {_MAX_POINT_CELLS} cells (N x N), "
                          f"not {n} x {n}")
-    basis = np.array([mode_profile(params.n_sites, site) for site in range(1, params.n_sites + 1)])
+    basis = np.array([creator_vector(n, "b", site) for site in range(1, n + 1)])
     frequencies = np.sqrt(mode_spectrum(params) / params.mass)
     for arr in (basis, frequencies):
         arr.setflags(write=False)

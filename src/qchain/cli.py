@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from .chain import ChainParams, real_mode_basis
-from .expr import StateExprError, build_state
+from .expr import build_state
 from .fock import dump_state, expand_state
 from .render import render_parallel_axes, render_scatter2d
 from .sampling import (
@@ -105,13 +105,15 @@ def _write_atomic(outputs):
     """Write each (path, text) pair to a temp file in the path's directory, then
     rename every temp file into place; on any error, remove the temp files.
 
-    A path that is an existing directory raises ``IsADirectoryError`` before
-    anything is staged.  Each file gets the mode a new file gets under the
-    process umask, not ``mkstemp``'s 0600.
+    A path that is a directory or lies in a missing one raises an OSError
+    naming it before anything is staged.  Each file gets the mode a new file
+    gets under the process umask, not ``mkstemp``'s 0600.
     """
     for path, _ in outputs:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     umask = os.umask(0o077)  # read by setting it: the command line runs on one thread
     os.umask(umask)
     staged = []
@@ -186,7 +188,7 @@ def main(argv=None) -> int:
                 if real in flags:
                     raise ValueError(f"{flags[real]} and {flag} name the same file {path!r}")
                 flags[real] = flag
-    except (StateExprError, ValueError) as exc:
+    except ValueError as exc:
         print(f"qchain: error: {exc}", file=sys.stderr)
         return 1
 

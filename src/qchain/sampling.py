@@ -5,7 +5,7 @@ seeded generator (numpy's PCG64), so a fixed (seed, sample count, dimension,
 window) tuple reproduces the exact same points; a draw holds at most
 ``_MAX_POINT_CELLS`` point cells.  One record, :func:`provenance`, holds the
 draw parameters, the canvas and the state's parameters; the SVG metadata and
-the table header both write it, so every output regenerates from its own.
+the table header both write it, so each CLI output regenerates from its own.
 
 A sample table (``# qchain-samples v2``) is one header line and one row per
 sample.  The points are not stored: the header is the SVG's record plus
@@ -270,8 +270,6 @@ def load_samples(text: str) -> SampleBatch:
         digest = meta["points_sha256"]
     except KeyError as exc:
         raise ValueError(f"sample table header has no {exc.args[0]}= field") from None
-    if n_dims < 1:
-        raise ValueError(f"n_dims must be >= 1, got {n_dims}")
     rows = body.split("\n")
     if rows[-1] == "":  # the last row's '\n', or no rows at all
         rows.pop()

@@ -179,14 +179,13 @@ def hamiltonian_residual(state: CreatorState | FockState, basis: ModeBasis, q,
 
     The step is 1e-3 of the narrowest mode's oscillator length, which
     balances truncation against cancellation at double precision.  Points
-    where |psi(q)| < 1e-6 * floor_ref are rejected (near-nodal division);
+    where |psi(q)| <= 1e-6 * floor_ref are rejected (near-nodal division);
     ``floor_ref`` defaults to |psi(0)|, which is zero for odd-parity states,
     so callers probing those should pass a scale such as the batch maximum.
-    A ``CreatorState`` is expanded into its occupation-number terms first.
+    A ``CreatorState`` is evaluated as given and expanded only for its energy.
     """
-    if isinstance(state, CreatorState):
-        state = expand_state(state)
-    if len(state.terms) != 1:
+    fock = expand_state(state) if isinstance(state, CreatorState) else state
+    if len(fock.terms) != 1:
         raise ValueError("residual check requires a single-occupation eigenstate")
     q = np.asarray(q, dtype=float)
     n = basis.params.n_sites
@@ -200,12 +199,12 @@ def hamiltonian_residual(state: CreatorState | FockState, basis: ModeBasis, q,
     stencil = np.concatenate([q[None, :], q[None, :] + eye, q[None, :] - eye])
     vals = evaluate_batch(state, basis, stencil)
     center = vals[0]
-    if abs(center) < 1e-6 * floor_ref:
+    if abs(center) <= 1e-6 * floor_ref:
         raise ValueError("wavefunction magnitude below the rejection floor at this point")
 
     laplacian = complex(np.sum(vals[1 : n + 1] + vals[n + 1 :] - 2.0 * center)) / (h * h)
     coupling = build_coupling_matrix(basis.params)
     potential = 0.5 * float(q @ coupling @ q)
     applied = -laplacian / (2.0 * basis.params.mass) + potential * center
-    (occ, _amp), = state.terms.items()
+    (occ,) = fock.terms
     return abs(applied / center - energy_eigenvalue(occ, basis))

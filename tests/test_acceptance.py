@@ -13,7 +13,7 @@ import numpy as np
 from qchain.chain import (
     ChainParams,
     build_coupling_matrix,
-    mode_profile,
+    creator_vector,
     mode_spectrum,
     real_mode_basis,
 )
@@ -66,7 +66,7 @@ def test_criterion_01_spectrum_oracle_equivalence():
 
 def test_criterion_02_nodal_anchor_n15_k1():
     def flips():
-        vals = [mode_profile(15, site)[7 + 1] for site in range(1, 16)]
+        vals = [creator_vector(15, "b", site)[7 + 1] for site in range(1, 16)]
         return [s for s in range(1, 15) if vals[s - 1] * vals[s] < 0]
 
     flips()  # warm up numpy before timing

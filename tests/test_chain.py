@@ -7,8 +7,8 @@ from qchain import chain, sampling
 from qchain.chain import (
     ChainParams,
     build_coupling_matrix,
+    creator_vector,
     mode_indices,
-    mode_profile,
     mode_spectrum,
     real_mode_basis,
 )
@@ -113,14 +113,14 @@ def test_basis_orthonormal():
         assert np.max(np.abs(gram - np.eye(n))) < 1e-12
 
 
-def test_mode_profile_matches_basis_rows():
+def test_b_creator_vectors_are_the_basis_rows():
     basis = real_mode_basis(ChainParams(n_sites=7))
     for site in range(1, 8):
-        assert np.array_equal(basis.basis[site - 1], mode_profile(7, site))
+        assert np.array_equal(basis.basis[site - 1], creator_vector(7, "b", site))
     with pytest.raises(ValueError):
-        mode_profile(7, 0)
+        creator_vector(7, "b", 0)
     with pytest.raises(ValueError):
-        mode_profile(7, 8)
+        creator_vector(7, "b", 8)
 
 
 def test_uniform_vector_projects_onto_k0():
@@ -136,7 +136,7 @@ def test_uniform_vector_projects_onto_k0():
 def test_k1_profile_sign_changes_at_n15():
     # zeros of cos+sin at 3N/8 = 5.625 and 7N/8 = 13.125 for k=1, so the
     # site values flip sign between 5|6 and between 13|14
-    values = np.array([mode_profile(15, site)[7 + 1] for site in range(1, 16)])
+    values = np.array([creator_vector(15, "b", site)[7 + 1] for site in range(1, 16)])
     flips = [site for site in range(1, 15) if values[site - 1] * values[site] < 0]
     assert flips == [5, 13]
 

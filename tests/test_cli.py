@@ -227,8 +227,12 @@ def test_io_error_exits_3(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.svg"
     code = main(["--n", "3", "--state", "vac", "--samples", "10",
                  "--out", str(missing_dir)])
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert code == 3
+    # one line naming the requested path, not a staged temp file
+    assert err.count("\n") == 1 and err.startswith("qchain: i/o error: ")
+    assert repr(str(missing_dir)) in err and ".qchain-" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--dump-state", "--dump-samples"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qchain import fock
-from qchain.chain import ChainParams, mode_profile, real_mode_basis
+from qchain.chain import ChainParams, creator_vector, real_mode_basis
 from qchain.expr import build_state, evaluate_expr, parse_state_expr
 from qchain.fock import (
     apply_create,
@@ -79,7 +79,7 @@ def test_local_create_coefficients():
     # b_n applied to the vacuum spreads one quantum over the modes with the
     # site's profile as coefficients
     state = apply_create_local(vacuum(P3), 2)
-    profile = mode_profile(3, 2)
+    profile = creator_vector(3, "b", 2)
     for slot in range(3):
         occ = tuple(1 if i == slot else 0 for i in range(3))
         assert state.terms[occ] == complex(profile[slot])

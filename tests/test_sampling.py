@@ -392,7 +392,7 @@ def test_load_rejects_malformed_tables():
         with pytest.raises(ValueError, match=f"no {name}= field"):
             load_samples(good.replace(", " + field, ""))
     header = lines[0].replace("n_dims=3", "n_dims={}").replace("samples=3", "samples=1")
-    for n_dims in (0, -1):  # checked before the rows are read
+    for n_dims in (0, -1):  # the redraw checks it
         with pytest.raises(ValueError, match="n_dims must be >= 1"):
             load_samples(header.format(n_dims) + "\n0.5,0.5\n")
     # a huge n_dims with a short row: the column error, without a row-sized buffer

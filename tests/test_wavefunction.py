@@ -13,6 +13,7 @@ from qchain.chain import ChainParams, creator_vector, real_mode_basis
 from qchain.cli import PRESETS
 from qchain.expr import build_state, creator_state, evaluate_expr, parse_state_expr
 from qchain.fock import (
+    CreatorState,
     FockState,
     apply_create,
     apply_create_local,
@@ -305,6 +306,26 @@ def test_hamiltonian_residual_rejects_nodal_points():
     state = apply_create(vacuum(params), 0)  # odd in Q_0, zero at q = 0
     with pytest.raises(ValueError):
         hamiltonian_residual(state, basis, np.zeros(3), floor_ref=1.0)
+    # an exact node is refused under a zero floor too, not divided by
+    with pytest.raises(ValueError, match="below the rejection floor"):
+        hamiltonian_residual(state, basis, np.zeros(3), floor_ref=0.0)
+
+
+def test_hamiltonian_residual_evaluates_the_state_it_is_given(monkeypatch):
+    # the creator form every figure draws is the one checked, not its expansion
+    params = ChainParams(n_sites=5)
+    seen = []
+    weighted_terms = wavefunction._weighted_terms
+
+    def recording(state):
+        seen.append(type(state))
+        return weighted_terms(state)
+
+    monkeypatch.setattr(wavefunction, "_weighted_terms", recording)
+    state = build_state("a[-2] a[1] vac", params)[0]
+    q = np.array([0.7, -0.2, 0.4, -0.9, 0.1])
+    assert hamiltonian_residual(state, real_mode_basis(params), q, floor_ref=1.0) < 1e-4
+    assert seen and set(seen) == {CreatorState}
 
 
 # --- the per-term evaluator that the Wick evaluator replaced, kept as reference
