@@ -6,7 +6,8 @@
 # metadata's, plus points_sha256).  fig2 covers a chain state and fig1 the 2D
 # oscillator, the two callers of the evaluation loop.  A rejected expression
 # must exit 1 with one error line and write nothing; an output in a missing
-# directory must exit 3 with one error line that names it.  Writes into
+# directory must exit 3 with one error line that names it, before anything is
+# drawn (10^11 samples would exceed the draw's bound and exit 2).  Writes into
 # $RUNNER_TEMP, or a new temporary directory when that is unset.
 set -euo pipefail
 out="${RUNNER_TEMP:-$(mktemp -d)}"
@@ -40,7 +41,8 @@ test "$(wc -l < "$out/rejected.err")" -eq 1
 grep -q '^qchain: error: .*(position 14)$' "$out/rejected.err"
 test ! -e "$out/rejected.svg"
 code=0
-qchain --n 3 --state 'a[1] vac' --samples 50 --out "$out/nodir/x.svg" 2> "$out/nodir.err" || code=$?
+qchain --n 3 --state 'a[1] vac' --samples 100000000000 --out "$out/nodir/x.svg" \
+  2> "$out/nodir.err" || code=$?
 test "$code" -eq 3
 test "$(wc -l < "$out/nodir.err")" -eq 1
 grep -qF "qchain: i/o error: [Errno 2] No such file or directory: '$out/nodir/x.svg'" "$out/nodir.err"

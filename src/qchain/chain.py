@@ -48,9 +48,9 @@ def _check_integer(name: str, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_oscillator(mass: float, kappa: float, gamma: float = 0.0):
-    """Require a positive finite mass and kappa, a finite non-negative gamma,
-    and mode frequencies that neither overflow nor underflow to zero.
+def _check_oscillator(mass: float, kappa: float, gamma: float | None = None):
+    """Require a positive finite mass and kappa, a finite non-negative gamma if
+    one is given, and mode frequencies that neither overflow nor underflow to zero.
 
     NaN fails every comparison, so it is rejected too.
     """
@@ -58,13 +58,15 @@ def _check_oscillator(mass: float, kappa: float, gamma: float = 0.0):
         raise ValueError(f"mass must be positive and finite, got {mass}")
     if not 0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    if not 0 <= gamma < math.inf:
+    if gamma is not None and not 0 <= gamma < math.inf:
         raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
-    mass, kappa, gamma = float(mass), float(kappa), float(gamma)  # no numpy overflow warnings
+    mass, kappa = float(mass), float(kappa)  # no numpy overflow warnings
+    spread = 0.0 if gamma is None else 4.0 * float(gamma)
     # every squared frequency omega_k / mass lies in [kappa, kappa + 4 * gamma] / mass
-    if not (kappa / mass > 0 and (kappa + 4.0 * gamma) / mass < math.inf):
-        raise ValueError(f"mass={mass}, kappa={kappa} and gamma={gamma} put the mode "
-                         "frequencies outside the range of a double")
+    if not (kappa / mass > 0 and (kappa + spread) / mass < math.inf):
+        named = f"mass={mass} and kappa={kappa}" if gamma is None else (
+            f"mass={mass}, kappa={kappa} and gamma={float(gamma)}")
+        raise ValueError(f"{named} put the mode frequencies outside the range of a double")
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,8 @@ def creator_vector(n_sites: int, kind: str, index: int) -> np.ndarray:
     """Mode-space vector of ``a[index]`` (kind "a"), the unit vector of that wave
     number, or of ``b[index]`` (kind "b"), the mode profile at that 1-based site.
     """
+    if kind not in ("a", "b"):
+        raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")
     name = "wave number" if kind == "a" else "site"
     _check_integer(name, index)
     h = (n_sites - 1) // 2

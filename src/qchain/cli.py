@@ -8,11 +8,11 @@ polyline per sample, colored by the wavefunction value; background-colored
 samples are left out); ``--mode2d`` draws a two-dimensional oscillator
 eigenstate as a scatter chart instead.
 
-Exit codes: 0 success, 1 usage or expression error (two outputs naming one
-file among them), 2 numeric failure, 3 I/O failure.  Every output text is
-complete before any file is touched, and the files are staged as temp files
-and renamed into place only once all are written, so a failed run leaves no
-output file.  The files get the mode the umask gives a new file.
+Exit codes: 0 success, 1 usage or expression error, 2 numeric failure, 3 I/O
+failure.  The output paths are checked first, before anything is parsed or
+built.  Every output text is complete before any file is touched, and the
+files are staged as temp files and renamed into place once all are written, so
+a failed run leaves no output file.  Files get the umask's new-file mode.
 """
 
 from __future__ import annotations
@@ -105,15 +105,9 @@ def _write_atomic(outputs):
     """Write each (path, text) pair to a temp file in the path's directory, then
     rename every temp file into place; on any error, remove the temp files.
 
-    A path that is a directory or lies in a missing one raises an OSError
-    naming it before anything is staged.  Each file gets the mode a new file
+    :func:`main` has checked the paths.  Each file gets the mode a new file
     gets under the process umask, not ``mkstemp``'s 0600.
     """
-    for path, _ in outputs:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     umask = os.umask(0o077)  # read by setting it: the command line runs on one thread
     os.umask(umask)
     staged = []
@@ -146,7 +140,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    default_out = f"{args.preset or ('oscillator2d' if args.mode2d else 'chain')}.svg"
+    out = default_out if args.out is None else args.out
     try:
+        flags = {}  # each output's real path, and the flag that named it
+        for flag, path in (("--out", out), ("--dump-samples", args.dump_samples),
+                           ("--dump-state", args.dump_state)):
+            if path == "":
+                raise ValueError(f"{flag} needs a file path, got an empty one")
+            if path is not None:
+                real = os.path.realpath(path)
+                if real in flags:
+                    raise ValueError(f"{flags[real]} and {flag} name the same file {path!r}")
+                flags[real] = flag
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if args.mode2d:
             if args.n is not None or args.state is not None or args.gamma is not None:
                 raise ValueError("--mode2d takes --nu1/--nu2, not --n, --state or --gamma")
@@ -155,7 +165,6 @@ def main(argv=None) -> int:
             nu1, nu2 = (0 if nu is None else nu for nu in (args.nu1, args.nu2))
             omega = _oscillator2d_frequency(nu1, nu2, args.mass, args.kappa)
             window = default_window([omega], args.mass)
-            default_out = f"{args.preset or 'oscillator2d'}.svg"
         else:
             if args.nu1 is not None or args.nu2 is not None:
                 raise ValueError("--nu1/--nu2 require --mode2d")
@@ -168,7 +177,6 @@ def main(argv=None) -> int:
             state, label = build_state(args.state, chain)
             basis = real_mode_basis(chain)
             window = chain_window(basis)
-            default_out = f"{args.preset or 'chain'}.svg"
         spec = RenderSpec(
             sample_count=args.samples,
             window=window if args.window is None else args.window,
@@ -177,17 +185,9 @@ def main(argv=None) -> int:
             width=args.width,
             height=args.height,
         )
-        out = default_out if args.out is None else args.out
-        flags = {}  # each output's real path, and the flag that named it
-        for flag, path in (("--out", out), ("--dump-samples", args.dump_samples),
-                           ("--dump-state", args.dump_state)):
-            if path == "":
-                raise ValueError(f"{flag} needs a file path, got an empty one")
-            if path is not None:
-                real = os.path.realpath(path)
-                if real in flags:
-                    raise ValueError(f"{flags[real]} and {flag} name the same file {path!r}")
-                flags[real] = flag
+    except OSError as exc:
+        print(f"qchain: i/o error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"qchain: error: {exc}", file=sys.stderr)
         return 1

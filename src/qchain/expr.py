@@ -164,14 +164,12 @@ class _Parser:
     def _signed_term(term, negate):
         if not negate:
             return term
-        if isinstance(term, Scalar):
-            return Scalar(-term.value, pos=term.pos)
-        if isinstance(term, Product) and isinstance(term.factors[0], Scalar):
-            head = term.factors[0]
-            return Product((Scalar(-head.value, pos=head.pos),) + term.factors[1:],
-                           pos=term.pos)
         factors = term.factors if isinstance(term, Product) else (term,)
-        return Product((Scalar(-1.0 + 0.0j, pos=term.pos),) + factors, pos=term.pos)
+        if isinstance(factors[0], Scalar):  # negate the head scalar, or prepend -1
+            factors = (Scalar(-factors[0].value, pos=factors[0].pos),) + factors[1:]
+        else:
+            factors = (Scalar(-1.0 + 0.0j, pos=term.pos),) + factors
+        return factors[0] if len(factors) == 1 else Product(factors, pos=term.pos)
 
     # term := factor+; a parenthesized product is spliced into the enclosing
     # one, as pretty prints it, so the printed text parses back to the same tree
@@ -355,17 +353,14 @@ def _pretty_factor(node) -> str:
 
 def _negated_head(term):
     """If the term starts with a scalar printed with '-', return (positive_term, True)."""
-    if isinstance(term, Scalar):
-        neg = _fmt_scalar(term.value).startswith("-")
-        return (Scalar(-term.value, pos=term.pos), True) if neg else (term, False)
-    if isinstance(term, Product) and isinstance(term.factors[0], Scalar):
-        head, flipped = _negated_head(term.factors[0])
-        if flipped:
-            rest = term.factors[1:]
-            if head.value == 1:
-                return (rest[0] if len(rest) == 1 else Product(rest, pos=term.pos)), True
-            return Product((head,) + rest, pos=term.pos), True
-    return term, False
+    factors = term.factors if isinstance(term, Product) else (term,)
+    head = factors[0]
+    if not (isinstance(head, Scalar) and _fmt_scalar(head.value).startswith("-")):
+        return term, False
+    factors = (Scalar(-head.value, pos=head.pos),) + factors[1:]
+    if factors[0].value == 1 and len(factors) > 1:  # a unit head is dropped
+        factors = factors[1:]
+    return (factors[0] if len(factors) == 1 else Product(factors, pos=term.pos)), True
 
 
 def pretty(node) -> str:

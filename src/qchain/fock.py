@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainParams, ModeBasis, creator_vector
+from .chain import ChainParams, ModeBasis, _check_integer, creator_vector
 
 # Occupation terms x non-zero creator slots one creation may fan out to:
 # b[1] ... b[5] vac at N = 31 needs 1.44 million, b[1] ... b[6] vac 10 million.
@@ -192,7 +192,9 @@ def norm(state: FockState) -> float:
 
 def energy_eigenvalue(occ, basis: ModeBasis) -> float:
     """Energy of one occupation: sum over modes of Omega_k * (nu_k + 1/2)."""
-    occ = tuple(int(nu) for nu in occ)
+    occ = tuple(occ)
+    for nu in occ:
+        _check_integer("quantum number", nu)
     if len(occ) != basis.params.n_sites:
         raise ValueError(f"occupation length {len(occ)} != {basis.params.n_sites} modes")
     if any(nu < 0 for nu in occ):

@@ -12,6 +12,7 @@ from qchain.chain import (
     mode_spectrum,
     real_mode_basis,
 )
+from qchain.wavefunction import _oscillator2d_frequency
 
 
 def test_mode_basis_beyond_the_cell_bound_is_refused(monkeypatch):
@@ -53,6 +54,14 @@ def test_params_validation():
     # gamma = 0 decouples the sites but stays valid
     assert ChainParams(n_sites=3, gamma=0.0).max_wavenumber == 1
     assert ChainParams(n_sites=15).max_wavenumber == 7
+
+
+def test_oscillator2d_range_error_names_no_gamma():
+    # the 2D oscillator has no gamma, so its range error does not name one
+    with pytest.raises(ValueError, match="mode frequencies outside the range of a double") as err:
+        _oscillator2d_frequency(0, 0, 1e-320, 1.0)
+    assert str(err.value).startswith("mass=1e-320 and kappa=1.0 put ")
+    assert "gamma" not in str(err.value)
 
 
 def test_mode_indices_order():
@@ -121,6 +130,12 @@ def test_b_creator_vectors_are_the_basis_rows():
         creator_vector(7, "b", 0)
     with pytest.raises(ValueError):
         creator_vector(7, "b", 8)
+
+
+@pytest.mark.parametrize("kind", ["c", "A", "B", "", "ab"])
+def test_creator_vector_refuses_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match=rf"^kind must be 'a' or 'b', got {kind!r}$"):
+        creator_vector(5, kind, 2)
 
 
 def test_uniform_vector_projects_onto_k0():

@@ -185,7 +185,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 1, argv
-        assert "mass=" in err and "kappa=" in err and "gamma=" in err, (argv, err)
+        assert "mass=" in err and "kappa=" in err, (argv, err)
+        assert ("gamma=" in err) != ("--mode2d" in argv), (argv, err)  # 2D has no gamma
         assert "window" not in err, (argv, err)
 
 
@@ -223,7 +224,18 @@ def test_chain_run_builds_mode_basis_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_io_error_exits_3(tmp_path, capsys):
+@pytest.fixture
+def nothing_built(monkeypatch):
+    # an output path the run cannot write is refused before any of these is called
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or sampled before the output paths were checked")
+
+    for name in ("build_state", "real_mode_basis", "_oscillator2d_frequency", "expand_state",
+                 "sample_chain_state", "sample_oscillator2d"):
+        monkeypatch.setattr(f"qchain.cli.{name}", refuse)
+
+
+def test_io_error_exits_3(tmp_path, capsys, nothing_built):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.svg"
     code = main(["--n", "3", "--state", "vac", "--samples", "10",
                  "--out", str(missing_dir)])
@@ -236,12 +248,31 @@ def test_io_error_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--dump-state", "--dump-samples"])
-def test_failed_extra_output_leaves_no_file(tmp_path, capsys, flag):
-    # the figure is staged before the extra output fails; the run leaves neither
+def test_failed_extra_output_leaves_no_file(tmp_path, capsys, nothing_built, flag):
+    # the extra output's missing directory fails the run before anything is built
     code = main(["--n", "3", "--state", "vac", "--samples", "10",
                  "--out", str(tmp_path / "chain.svg"), flag, str(tmp_path / "no" / "such.txt")])
     assert code == 3
     assert "i/o error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "6001", "--state", "vac", "--samples", "10"],
+    ["--n", "31", "--state", "b[1] b[2] b[3] b[4] b[5] b[6] vac", "--dump-state", "state.txt"],
+    ["--n", "3", "--state", "vac", "--samples", str(10**12)],
+    ["--mode2d", "--nu1", "3"],
+    ["--n", "3", "--state", "vac +"],
+], ids=["n6001", "dump_state_over_bound", "samples_1e12", "mode2d", "bad_expression"])
+def test_missing_directory_exits_3_before_the_run_could_fail(argv, tmp_path, monkeypatch,
+                                                              capsys, nothing_built):
+    # each of these runs fails or takes long once it starts; the path is refused first
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "nodir" / "x.svg"
+    assert main(argv + ["--out", str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("qchain: i/o error: ")
+    assert repr(str(missing)) in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -262,9 +293,9 @@ def test_two_outputs_naming_one_file_exit_1_before_sampling(first, second, tmp_p
 
 
 @pytest.mark.parametrize("flag", ["--dump-state", "--dump-samples"])
-def test_directory_target_exits_3_and_leaves_no_file(tmp_path, capsys, flag):
+def test_directory_target_exits_3_and_leaves_no_file(tmp_path, capsys, nothing_built, flag):
     # the figure comes first among the outputs; a later target that is a directory
-    # still fails the run before any file is staged
+    # still fails the run before anything is built
     (tmp_path / "adir").mkdir()
     code = main(["--n", "3", "--state", "vac", "--samples", "10",
                  "--out", str(tmp_path / "chain.svg"), flag, str(tmp_path / "adir")])

@@ -209,6 +209,12 @@ def test_energy_eigenvalue_frozen():
         energy_eigenvalue((0, 1), basis)
     with pytest.raises(ValueError, match="non-negative"):
         energy_eigenvalue((0, -1, 0), basis)
+    # quantum numbers are integers: none is truncated to one
+    for occ in ((0, 1, 0.5), (0, 1.9, 0), (0, True, 0), (0, 1.0, 0), (0, "1", 0)):
+        with pytest.raises(ValueError, match=r"^quantum number must be an integer, got "):
+            energy_eigenvalue(occ, basis)
+    assert energy_eigenvalue(np.array([0, 1, 0]), basis) == pytest.approx(3.5)  # numpy ints
+    assert energy_eigenvalue((np.int64(1), 0, np.int32(1)), basis) == pytest.approx(6.5)
 
 
 def test_dump_state_format():
