@@ -7,8 +7,9 @@
 # oscillator, the two callers of the evaluation loop.  A rejected expression
 # must exit 1 with one error line and write nothing; an output in a missing
 # directory must exit 3 with one error line that names it, before anything is
-# drawn (10^11 samples would exceed the draw's bound and exit 2).  Writes into
-# $RUNNER_TEMP, or a new temporary directory when that is unset.
+# drawn (10^11 samples would exceed the draw's bound and exit 2); so must an
+# output that is a FIFO, which is left a FIFO.  Writes into $RUNNER_TEMP, or a
+# new temporary directory when that is unset.
 set -euo pipefail
 out="${RUNNER_TEMP:-$(mktemp -d)}"
 python -c 'import importlib.metadata as m, qchain; assert m.version("qchain") == qchain.__version__, m.version("qchain")'
@@ -47,3 +48,10 @@ test "$code" -eq 3
 test "$(wc -l < "$out/nodir.err")" -eq 1
 grep -qF "qchain: i/o error: [Errno 2] No such file or directory: '$out/nodir/x.svg'" "$out/nodir.err"
 test ! -e "$out/nodir"
+mkfifo "$out/pipe"
+code=0
+qchain fig2 --samples 200 --out "$out/pipe" 2> "$out/pipe.err" || code=$?
+test "$code" -eq 3
+test "$(wc -l < "$out/pipe.err")" -eq 1
+grep -qF "qchain: i/o error: '$out/pipe' exists and is not a regular file" "$out/pipe.err"
+test -p "$out/pipe"

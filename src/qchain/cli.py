@@ -10,9 +10,10 @@ eigenstate as a scatter chart instead.
 
 Exit codes: 0 success, 1 usage or expression error, 2 numeric failure, 3 I/O
 failure.  The output paths are checked first, before anything is parsed or
-built.  Every output text is complete before any file is touched, and the
-files are staged as temp files and renamed into place once all are written, so
-a failed run leaves no output file.  Files get the umask's new-file mode.
+built; an output that exists must be a regular file.  Every output text is
+complete before any file is touched, and the files are staged as new temp files
+(so they get the umask's mode) and renamed into place once all are written; a
+failed write or rename removes them all, so a failed run leaves no output file.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import errno
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -102,30 +102,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _write_atomic(outputs):
-    """Write each (path, text) pair to a temp file in the path's directory, then
-    rename every temp file into place; on any error, remove the temp files.
-
-    :func:`main` has checked the paths.  Each file gets the mode a new file
-    gets under the process umask, not ``mkstemp``'s 0600.
+    """Write each (path, text) pair to a temp file created new in the path's
+    directory, so it gets the umask's mode, then rename every temp file into
+    place; on any error, remove the temp files and the outputs already renamed.
+    :func:`main` has checked the paths.
     """
-    umask = os.umask(0o077)  # read by setting it: the command line runs on one thread
-    os.umask(umask)
-    staged = []
+    staged, renamed = [], []
     try:
         for path, text in outputs:
             directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qchain-", suffix=".tmp")
-            staged.append((tmp, path))
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            tmp = os.path.join(directory, f".qchain-{os.urandom(8).hex()}.tmp")
+            with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+                staged.append((tmp, path))
                 fh.write(text)
-            os.chmod(tmp, 0o666 & ~umask)
         for tmp, path in staged:
             os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        for tmp, _ in staged:
+        for name in [tmp for tmp, _ in staged] + renamed:
             try:
-                os.unlink(tmp)
-            except OSError:  # already renamed into place
+                os.unlink(name)
+            except OSError:  # a renamed temp file is gone
                 pass
         raise
 
@@ -155,6 +152,8 @@ def main(argv=None) -> int:
                 flags[real] = flag
                 if os.path.isdir(path):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or device
+                    raise OSError(f"{path!r} exists and is not a regular file")
                 if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
                     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if args.mode2d:

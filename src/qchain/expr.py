@@ -346,9 +346,13 @@ def _fmt_scalar(value: complex) -> str:
     return f"({repr(value.real)} + {repr(value.imag)}i)"
 
 
-def _pretty_factor(node) -> str:
+def _pretty_factor(node, before="") -> str:
+    """``node``'s text after ``before``: a sum, or a factor after the first that
+    prints with '-', in parentheses, and a bare 'i' after a number as '1.0i'."""
     text = pretty(node)
-    return f"({text})" if isinstance(node, Sum) else text
+    if isinstance(node, Sum) or (before and text.startswith("-")):
+        return f"({text})"
+    return "1.0i" if text == "i" and before[-1:].isdigit() else text
 
 
 def _negated_head(term):
@@ -358,7 +362,8 @@ def _negated_head(term):
     if not (isinstance(head, Scalar) and _fmt_scalar(head.value).startswith("-")):
         return term, False
     factors = (Scalar(-head.value, pos=head.pos),) + factors[1:]
-    if factors[0].value == 1 and len(factors) > 1:  # a unit head is dropped
+    # a unit head is dropped, unless the parser would then negate the next scalar
+    if factors[0].value == 1 and len(factors) > 1 and not isinstance(factors[1], Scalar):
         factors = factors[1:]
     return (factors[0] if len(factors) == 1 else Product(factors, pos=term.pos)), True
 
@@ -372,12 +377,15 @@ def pretty(node) -> str:
     if isinstance(node, Vac):
         return "vac"
     if isinstance(node, Product):
-        return " ".join(_pretty_factor(f) for f in node.factors)
+        parts = []
+        for factor in node.factors:
+            parts.append(_pretty_factor(factor, parts[-1] if parts else ""))
+        return " ".join(parts)
     if isinstance(node, Sum):
-        parts = [pretty(node.terms[0])]
+        parts = [_pretty_factor(node.terms[0])]
         for term in node.terms[1:]:
             positive, flipped = _negated_head(term)
-            parts.append(("- " if flipped else "+ ") + pretty(positive))
+            parts.append(("- " if flipped else "+ ") + _pretty_factor(positive))
         return " ".join(parts)
     raise TypeError(f"unknown node {node!r}")
 

@@ -1,5 +1,8 @@
+import errno
+import html
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -11,7 +14,8 @@ from qchain.chain import ChainParams, real_mode_basis
 from qchain.cli import PRESETS, main
 from qchain.expr import build_state, evaluate_expr, parse_state_expr
 from qchain.fock import dump_state
-from qchain.sampling import RenderSpec, chain_window, load_samples, sample_chain_state
+from qchain.sampling import (RenderSpec, chain_window, load_samples, read_provenance,
+                             sample_chain_state)
 from qchain.wavefunction import evaluate_batch
 from sample_ids import element_ids, shown_ids
 
@@ -305,6 +309,55 @@ def test_directory_target_exits_3_and_leaves_no_file(tmp_path, capsys, nothing_b
     assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["fifo", "symlink_to_fifo"])
+@pytest.mark.parametrize("flag", ["--out", "--dump-samples"])
+def test_target_that_is_not_a_regular_file_exits_3(tmp_path, capsys, nothing_built, flag, link):
+    # renaming over a FIFO or a device would replace it; the run refuses it before
+    # anything is built, and never opens it (opening a FIFO blocks until a reader comes)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    target = fifo
+    if link:
+        target = tmp_path / "link"
+        target.symlink_to(fifo)
+    other = "--dump-samples" if flag == "--out" else "--out"
+    code = main(["--n", "3", "--state", "vac", "--samples", "10",
+                 other, str(tmp_path / "other.txt"), flag, str(target)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"qchain: i/o error: {str(target)!r} exists and is not "
+                                       f"a regular file\n")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["link", "pipe"] if link else ["pipe"])
+
+
+def _fail_second_call(real):
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), args[0])
+        return real(*args, **kwargs)
+
+    return fail
+
+
+@pytest.mark.parametrize("name", ["replace", "open"])
+def test_failed_rename_or_creation_leaves_no_file(name, tmp_path, monkeypatch, capsys):
+    # the figure is written (and, for a failed rename, already renamed into place)
+    # before the table fails; every file the run made is removed
+    if name == "replace":
+        monkeypatch.setattr(os, "replace", _fail_second_call(os.replace))
+    else:
+        monkeypatch.setattr("qchain.cli.open", _fail_second_call(open), raising=False)
+    code = main(["fig2", "--samples", "50", "--out", str(tmp_path / "f.svg"),
+                 "--dump-samples", str(tmp_path / "t.txt")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("qchain: i/o error: [Errno 28] ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
                          ids=["umask022", "umask027"])
 def test_outputs_take_the_mode_of_a_new_file(umask, mode, tmp_path, capsys):
@@ -455,6 +508,17 @@ def test_zero_scalar_state_exits_2(tmp_path, capsys):
     assert code == 2
     assert "numeric error: every sampled wavefunction value is zero" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_recorded_label_builds_the_state_that_was_drawn(tmp_path, capsys):
+    # the parentheses around a subtracted sum survive into the SVG's record
+    src, out = "vac - (a[0] vac + a[1] vac)", tmp_path / "s.svg"
+    assert main(["--n", "3", "--state", src, "--samples", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    meta = re.search(r"<metadata>(.*)</metadata>", out.read_text()).group(1)
+    label = read_provenance(html.unescape(meta), "; ")["state"]
+    params = ChainParams(n_sites=3)
+    assert build_state(label, params)[0] == build_state(src, params)[0]
 
 
 def test_long_product_of_operator_sums(tmp_path):

@@ -159,6 +159,11 @@ def test_pretty_round_trip_examples():
         "vac - 0 vac",
         "vac - 0i vac",
         "vac - 1e-400 vac",
+        "vac - (a[0] vac + a[1] vac)",
+        "a[0] (-a[1]) vac",
+        "2 (-3) vac",
+        "vac - 1 2 vac",
+        "a[0] 0.5 1 i vac",
     ]:
         ast = parse_state_expr(src, 9)
         assert parse_state_expr(pretty(ast), 9) == ast
@@ -178,11 +183,25 @@ _OPS = st.one_of(
     st.integers(-3, 3).map(lambda k: f"a[{k}]"),
     st.integers(1, 7).map(lambda n: f"b[{n}]"),
 )
-_TERMS = st.builds(
-    lambda scal, ops: " ".join(([scal] if scal else []) + ops + ["vac"]),
-    st.one_of(st.none(), _SCALARS),
-    st.lists(_OPS, max_size=3),
+# an operator term ends with an operator; scalars may stand anywhere before it
+_OP_TERM = st.builds(lambda head, op: " ".join(head + [op]),
+                     st.lists(st.one_of(_SCALARS, _OPS), max_size=2), _OPS)
+
+
+def _parenthesized_sum(terms):
+    # "(" ['-'] term (('+'|'-') term)* ")", a leading '-' inside the parentheses
+    return st.builds(lambda lead, first, rest: f"({lead}{first}{''.join(rest)})",
+                     st.sampled_from(["", "-"]), terms,
+                     st.lists(st.tuples(st.sampled_from([" + ", " - "]), terms).map("".join),
+                              max_size=2))
+
+
+_STATE_TERM = st.builds(
+    lambda factors: " ".join(factors + ["vac"]),
+    st.lists(st.one_of(_SCALARS, _OPS, _parenthesized_sum(_OP_TERM),
+                       _parenthesized_sum(_SCALARS)), max_size=4),
 )
+_TERMS = st.one_of(_STATE_TERM, _parenthesized_sum(_STATE_TERM))
 
 
 @settings(max_examples=120, deadline=None)
