@@ -8,18 +8,19 @@ polyline per sample, colored by the wavefunction value; background-colored
 samples are left out); ``--mode2d`` draws a two-dimensional oscillator
 eigenstate as a scatter chart instead.
 
-Exit codes: 0 success, 1 usage or expression error, 2 numeric failure, 3 I/O
-failure.  The output paths are checked first, before anything is parsed or
-built; an output that exists must be a regular file.  Every output text is
-complete before any file is touched, and the files are staged as new temp files
-(so they get the umask's mode) and renamed into place once all are written; a
-failed write or rename removes them all, so a failed run leaves no output file.
+Exit codes: 0 success, 3 I/O failure, and any other error 1 (usage or
+expression) until the sampling spec is built, 2 (numeric) after.  The output
+paths are checked first, before anything is parsed or built; an output that
+exists must be a regular file.  Every output text is complete before any file
+is touched; the files are staged as new temp files and renamed into place once
+all are written, and a failed run removes them all, leaving no output file.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 
@@ -139,6 +140,7 @@ def main(argv=None) -> int:
 
     default_out = f"{args.preset or ('oscillator2d' if args.mode2d else 'chain')}.svg"
     out = default_out if args.out is None else args.out
+    code = 1  # a ValueError or ArithmeticError exits 1 until the spec is built, then 2
     try:
         flags = {}  # each output's real path, and the flag that named it
         for flag, path in (("--out", out), ("--dump-samples", args.dump_samples),
@@ -164,18 +166,21 @@ def main(argv=None) -> int:
             nu1, nu2 = (0 if nu is None else nu for nu in (args.nu1, args.nu2))
             omega = _oscillator2d_frequency(nu1, nu2, args.mass, args.kappa)
             window = default_window([omega], args.mass)
+            sample = functools.partial(sample_oscillator2d, nu1, nu2, args.mass, args.kappa)
+            render = render_scatter2d
         else:
             if args.nu1 is not None or args.nu2 is not None:
                 raise ValueError("--nu1/--nu2 require --mode2d")
-            if args.n is None:
-                raise ValueError("--n is required (or use a preset)")
-            if args.state is None:
-                raise ValueError("--state is required (or use a preset)")
+            for flag, value in (("--n", args.n), ("--state", args.state)):
+                if value is None:
+                    raise ValueError(f"{flag} is required (or use a preset)")
             gamma = 1.0 if args.gamma is None else args.gamma
             chain = ChainParams(n_sites=args.n, mass=args.mass, kappa=args.kappa, gamma=gamma)
             state, label = build_state(args.state, chain)
             basis = real_mode_basis(chain)
             window = chain_window(basis)
+            sample = functools.partial(sample_chain_state, state, basis, state_label=label)
+            render = render_parallel_axes
         spec = RenderSpec(
             sample_count=args.samples,
             window=window if args.window is None else args.window,
@@ -184,25 +189,12 @@ def main(argv=None) -> int:
             width=args.width,
             height=args.height,
         )
-    except OSError as exc:
-        print(f"qchain: i/o error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"qchain: error: {exc}", file=sys.stderr)
-        return 1
-
-    # the numeric failures of this phase are reported below, in one line each
-    with np.errstate(all="ignore"):
-        try:
+        code = 2
+        with np.errstate(all="ignore"):  # numeric failures are reported below, one line each
             # occupation terms are expanded only for the dump, before the draw,
             # so a refused expansion fails whatever the sample count
             state_text = None if args.dump_state is None else dump_state(expand_state(state))
-            if args.mode2d:
-                batch = sample_oscillator2d(nu1, nu2, args.mass, args.kappa, spec)
-                render = render_scatter2d
-            else:
-                batch = sample_chain_state(state, basis, spec, state_label=label)
-                render = render_parallel_axes
+            batch = sample(spec)
             if not np.any(batch.values):
                 raise ValueError("every sampled wavefunction value is zero")
             outputs = [(out, render(batch))]
@@ -214,10 +206,9 @@ def main(argv=None) -> int:
             print(f"n={batch.n_dims} state='{batch.state_label}' samples={spec.sample_count} "
                   f"seed={spec.seed} out={out}")
             return 0
-        except OSError as exc:
-            print(f"qchain: i/o error: {exc}", file=sys.stderr)
-            return 3
-        except (ValueError, ArithmeticError) as exc:
-            print(f"qchain: numeric error: {exc}", file=sys.stderr)
-            return 2
-
+    except OSError as exc:
+        print(f"qchain: i/o error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, ArithmeticError) as exc:
+        print(f"qchain: {'error' if code == 1 else 'numeric error'}: {exc}", file=sys.stderr)
+        return code
