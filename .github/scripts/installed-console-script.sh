@@ -8,8 +8,9 @@
 # must exit 1 with one error line and write nothing; an output in a missing
 # directory must exit 3 with one error line that names it, before anything is
 # drawn (10^11 samples would exceed the draw's bound and exit 2); so must an
-# output that is a FIFO, which is left a FIFO.  Writes into $RUNNER_TEMP, or a
-# new temporary directory when that is unset.
+# output that is a FIFO, which is left a FIFO.  A state whose every sampled
+# value is zero must exit 2 with one numeric error line and write nothing.
+# Writes into $RUNNER_TEMP, or a new temporary directory when that is unset.
 set -euo pipefail
 out="${RUNNER_TEMP:-$(mktemp -d)}"
 python -c 'import importlib.metadata as m, qchain; assert m.version("qchain") == qchain.__version__, m.version("qchain")'
@@ -55,3 +56,9 @@ test "$code" -eq 3
 test "$(wc -l < "$out/pipe.err")" -eq 1
 grep -qF "qchain: i/o error: '$out/pipe' exists and is not a regular file" "$out/pipe.err"
 test -p "$out/pipe"
+code=0
+qchain --n 5 --state '0 vac' --samples 10 --out "$out/zero.svg" 2> "$out/zero.err" || code=$?
+test "$code" -eq 2
+test "$(cat "$out/zero.err")" = "qchain: numeric error: every sampled wavefunction value is zero"
+test "$(wc -l < "$out/zero.err")" -eq 1
+test ! -e "$out/zero.svg"

@@ -14,7 +14,8 @@ and the real combinations of the Fourier eigenvectors,
 
 form a real orthonormal eigenbasis.  In these coordinates the chain separates
 into N independent oscillators with angular frequency Omega_k =
-sqrt(omega_k / mass) each.
+sqrt(omega_k / mass) each.  The site angle is formed from k*n mod N, so site
+N - s is site s with k -> -k, bit for bit, and its rounding does not grow with N.
 
 N is restricted to odd values so that the wave numbers come in exact +-k pairs
 with no special half-integer mode.
@@ -137,7 +138,7 @@ def creator_vector(n_sites: int, kind: str, index: int) -> np.ndarray:
         return (np.arange(n_sites) == index + h).astype(float)
     if not 1 <= index <= n_sites:
         raise ValueError(f"site {index} out of range 1..{n_sites}")
-    theta = 2.0 * np.pi * np.arange(-h, h + 1) * index / n_sites
+    theta = 2.0 * np.pi * (np.arange(-h, h + 1) * index % n_sites) / n_sites
     return (np.cos(theta) + np.sin(theta)) / np.sqrt(n_sites)
 
 
@@ -179,7 +180,7 @@ def real_mode_basis(params: ChainParams) -> ModeBasis:
     if n * n > _MAX_POINT_CELLS:
         raise ValueError(f"a mode basis holds at most {_MAX_POINT_CELLS} cells (N x N), "
                          f"not {n} x {n}")
-    basis = np.array([creator_vector(n, "b", site) for site in range(1, n + 1)])
+    basis = np.fromiter((creator_vector(n, "b", site) for site in range(1, n + 1)), (float, n), n)
     frequencies = np.sqrt(mode_spectrum(params) / params.mass)
     for arr in (basis, frequencies):
         arr.setflags(write=False)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,26 @@ def test_b_creator_vectors_are_the_basis_rows():
         creator_vector(7, "b", 0)
     with pytest.raises(ValueError):
         creator_vector(7, "b", 8)
+
+
+@pytest.mark.parametrize("n", [3, 11, 301, 1001])
+def test_mirrored_site_rows_are_reversed_rows_bit_for_bit(n):
+    # site N - s is site s with k -> -k, and site N has angle 0 for every k
+    rows = real_mode_basis(ChainParams(n_sites=n)).basis
+    assert np.array_equal(rows[n - 2::-1], rows[:n - 1, ::-1])
+    assert np.all(rows[n - 1] == rows[n - 1, 0])
+
+
+def test_mode_basis_peak_memory_is_the_basis():
+    # the rows are written into the basis as they are made, not collected first
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        basis = real_mode_basis(ChainParams(n_sites=2001)).basis
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * basis.nbytes
 
 
 @pytest.mark.parametrize("kind", ["c", "A", "B", "", "ab"])

@@ -51,8 +51,8 @@ EXPECTED_STDOUT = {
         'typical |Im psi| / |psi|: 0.708',
     ],
     "residual_check": [
-        'vac             E = 4.192323  worst |H psi / psi - E| = 3.98e-07',
-        'a[0] vac        E = 5.192323  worst |H psi / psi - E| = 2.98e-07',
+        'vac             E = 4.192323  worst |H psi / psi - E| = 3.75e-07',
+        'a[0] vac        E = 5.192323  worst |H psi / psi - E| = 3.01e-07',
         'a[1] a[-2] vac  E = 7.884646  worst |H psi / psi - E| = 1.27e-04',
     ],
     "standing_wave": [

@@ -287,24 +287,24 @@ GOLDEN_SVG_SHA256 = {
 GOLDEN_TABLE_V2_SHA256 = {
     ("fig1", 0): "40a2844852e20425905b1cad45bbf256905b5e6cb033d9b0959a657f5156d10c",
     ("fig1", 42): "6b4be7d935b2c84868ad0f69b9c662ff304f075d283ef918c62f78786c5266e7",
-    ("fig2", 0): "93a3e2c1e410e02a82a3f18bbc5f1dd51b82230df95fe98b22d62568ec1e449a",
-    ("fig2", 42): "d1954be849c794ae5f5b94f5757fc5e2d3c5db14771563bf2abcbc2d98983d3e",
-    ("fig3", 0): "aa242965d30e2f651a6485edd314428e423fadacec91220ee02270da7356a169",
-    ("fig3", 42): "eacb547394784b6655389e9765be59c5d6e15e05ee752eeab52c5b665a00e454",
-    ("fig4", 0): "5c4cb5e19e4705436026b656c127823e21deac78a1e4101e1bae996ff8858cf2",
-    ("fig4", 42): "9198861109a1d249f85f97692b930b9a5c6c4b0a94d06a97adedf6b5a90b0aeb",
-    ("fig5", 0): "30f57a34f5a66856772d1efb7e7f9ee4eb371b901facdf621627b799642af618",
-    ("fig5", 42): "90e48235182c4321f145bca2009b4aa97d4ddc66c23e5362638d3f6d9d9e2e00",
-    ("fig6", 0): "49f21f0433e41caf046b0ff4f362d56860e70c71ed1ff3751f8576028a4c36fa",
-    ("fig6", 42): "3db9fe9251fa4ac1f5f0790c08972af5465a446b9a8286aa135b9a0827bb6fc2",
-    ("fig7", 0): "26ee04e15c4b8e133cdc19e9251fb445370b264c70b2c81cce849594fd877859",
-    ("fig7", 42): "aba447b03fe3cac83d21334e80562933ef1a93ccde09a57a54bf88dace694dd5",
-    ("fig8a", 0): "cd8808e0982f04c4368756fd2e4cbec1c8d366fb681560035b0c5a1eb5dad65e",
-    ("fig8a", 42): "bd63fb9b8e02a178ae50f68eb06cf8581945e4633c94f20904ebdb2136283b45",
-    ("fig8b", 0): "7211765e9b6eb49ef0eb3b11449d7d4e4e990d570968fd6bde992ae32a702c90",
-    ("fig8b", 42): "b984be4080142d934386f5a8ae2cbd990de04a1fef39074e24771964a252df1c",
-    ("phase_hue", 0): "fc9c86535bf39b34c787b07aa5964bb94bc1d76e19d9152be1b441f70b6973c2",
-    ("phase_hue", 42): "e20041eacb7b23b5532728f7234035de1b5348ae8d39f45294743d2eed8b1221",
+    ("fig2", 0): "6017a4666d8324c94ae2d1fded56238affcd8710a5d6f086d02ee54863ff86ed",
+    ("fig2", 42): "893e6785f439eb3abd6748ed4d117cdc69657a69ecde6f72f9d7abbd35e5a775",
+    ("fig3", 0): "716a8f3831ecae45e46264b74de194d95efae9ea47e6ed50ca24992a3160f243",
+    ("fig3", 42): "07c9a687f51b016fda9b305caeeb9f53d5f90d50cb27a6f71ca3b68ee5a188a5",
+    ("fig4", 0): "83ac722341e1dfff90822eabecf14382956222e1d7d02f14f10bf9940d75867a",
+    ("fig4", 42): "69ed403db96a62e123e9dd1ccd39f16e5a16b8d695189556926120c09d36a98d",
+    ("fig5", 0): "be9ff3cf217703cbccb6a8ef6fe48f4af116ebb919970715bb81d9677f41c14b",
+    ("fig5", 42): "d6c3cbf60661dba340d5a924e799192cc39c7786bccc34e68b8f07407ab5c42f",
+    ("fig6", 0): "58a2f5f9e27c83c6a3199431160c02408b1d3294e1103c839aa0995eb5d053d5",
+    ("fig6", 42): "fa54d75e33c3d0b650775fd361db496def505cc87350cfba2a25c6b2dde9e4ef",
+    ("fig7", 0): "9e4504889c77f3129192017b0e2605f4f0c6b3f5a631a4082c1eb33a7b711353",
+    ("fig7", 42): "2898e619881649d18310d048530394659e3973af90139c5e3444e9cd40df1c23",
+    ("fig8a", 0): "f8b81e1f815f5c4362b0c7475c85a625266804b02e4a8ad6eeb555ea4d523704",
+    ("fig8a", 42): "1d21f981112cfd8505f2b0ffc98e8cfc362e8c99ad7883b421ddf62d0febcdcb",
+    ("fig8b", 0): "10b415fc5cb11cad45154dddb683fce7be456de83138da58a93d1bcadf1fbb2a",
+    ("fig8b", 42): "1b1c9f3f86f04334b06cd781eddc5fc11b061928771e08a57a428a3729a8aa8e",
+    ("phase_hue", 0): "a64af7db781bca4f2e660477d745c1d13a2082e30e5df0d61d977167f67af163",
+    ("phase_hue", 42): "313a7ce1f602499d959faa682eeb3ccabdd99ab183d3d913b5e3813adde57d18",
 }
 
 # SHA-256 of the --dump-state files written by the evaluator that expanded
@@ -315,16 +315,16 @@ GOLDEN_STATE_SHA256 = {
     "fig3": "56a49f8bfd29cd8a5bf701f5406afafc75d100dfdc92c3af5584976e86966551",
     "fig4": "96e009c66ac51d3645b68b221cf0d1c51f5f9def3de0af56a1cd45dcb68024e2",
     "fig5": "599ad0242834c37983618fe058ea9b66af492104c5da6c6e3928eae1b721fffd",
-    "fig6": "be8a045b6393d328bac0df1f859979171d7fb4729efd2ce93a6bfbbf7bd35e7f",
-    "fig7": "0d956016570d6e3ba6b124f317babef6fdd51cbe19cfcaaa744814476c27a83a",
-    "fig8a": "76761bac013671b9531392573f9ad22263ab770d24ddf77c3c5ce5f547b9a034",
-    "fig8b": "19efa8e34f511f9f065d4ebfb76f08bf3240b777d37627657ceeacc59cd2ba21",
+    "fig6": "794bf5d1b9f1fe3d4fadf32488656c84a2895c827bf22ae4b33c8b6d22117acb",
+    "fig7": "175eb0fea353402478a71e228c77bc7c4fd5f26ad23092304f6dba117e05d173",
+    "fig8a": "9a7b3654bf750440b2a660b0871d1c4d32f3ad3aea04e68d253520a02ece33e0",
+    "fig8b": "6080530146f6cdfc8454c14fbc9df6ed526179a73b45b4390a5f7c57d14b1d5e",
     (15, "(a[1] + i a[-1]) vac"):
         "d68e72781384610b71e3476e86bd55acc45f2332c9c78150495843ac04e1bc72",
     (15, "b[1] b[4] b[8] b[11] b[14] vac"):
-        "7cdd7d3d52d3ac797e6498804d826fee03ec88e3d87fe2e05abde3c64389def8",
+        "b4041c9d5ccfc34b26fcb39823b6142c40884790d1b748153f7d6adbad692944",
     (31, "b[3] b[8] b[20] vac"):
-        "0db85f0573b139e5345114509dd172b2ebe162615bd8f654d92c0126d982a821",
+        "dc0d979aa55cd38c1d8ee4396fdb4a1e281b7829052cc7b6b9ccfc0c0d800cb1",
 }
 
 NON_PRESET_ARGS = {

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermite
@@ -506,6 +506,9 @@ def _ring_image_matches(basis, src, moved_points, image):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([5, 31, 301]).flatmap(lambda n: st.tuples(
     st.just(n), _creator_sums(n), st.integers(1, n - 1))))
+@example((301, "b[2] vac", 86))
+@example((301, "b[150] vac", 179))
+@example((301, "(a[-145] + 0.5 a[-12] + a[-14]) (a[1] + a[-145] + 0.5 a[1]) vac - vac", 1))
 def test_ring_translation_and_reflection_on_random_states(case):
     n_sites, src, s = case
     basis = real_mode_basis(ChainParams(n_sites=n_sites))
